@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 using namespace medley;
 using namespace medley::core;
@@ -45,19 +44,7 @@ unsigned Expert::predictThreads(const policy::FeatureVector &Features) const {
   // bit-identical and keeps the per-decision path free of indirection.
   double Raw = LinearThread ? LinearThread->predict(Features.Values)
                             : ThreadFn(Features.Values);
-  long N = std::lround(Raw);
-  N = std::clamp<long>(N, 1, static_cast<long>(Features.MaxThreads));
-  return static_cast<unsigned>(N);
-}
-
-unsigned
-Expert::predictThreadsStandardized(const policy::FeatureVector &Features,
-                                   const Vec &Std) const {
-  assert(LinearThread && "standardised prediction needs a linear expert");
-  double Raw = LinearThread->predictStandardized(Std);
-  long N = std::lround(Raw);
-  N = std::clamp<long>(N, 1, static_cast<long>(Features.MaxThreads));
-  return static_cast<unsigned>(N);
+  return policy::roundThreads(Raw, Features.MaxThreads);
 }
 
 double Expert::predictEnvNorm(const policy::FeatureVector &Features) const {

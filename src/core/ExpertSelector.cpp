@@ -61,7 +61,13 @@ void ExpertSelector::softmaxOfErrorsInto(const double *Errors, size_t N,
   Weights.resize(N);
   double Sum = 0.0;
   for (size_t K = 0; K < N; ++K) {
-    Weights[K] = std::exp(-(Errors[K] - MinError) / Tau);
+    const double Gap = Errors[K] - MinError;
+    // An error equal to the minimum gives exp(-0.0 / Tau) == 1.0 exactly,
+    // so the call is skipped. The test must be exact: a tolerance would
+    // change bits, and testing the minimum's index instead would turn a
+    // NaN gap (a NaN first error) into 1.0 rather than NaN.
+    // medley-lint: allow(float-equality) exact zero gap, see above
+    Weights[K] = Gap == 0.0 ? 1.0 : std::exp(-Gap / Tau);
     Sum += Weights[K];
   }
   for (double &W : Weights)
@@ -364,6 +370,17 @@ RegimeSelector::RegimeSelector(std::vector<int> RegimeTags, double Alpha)
     : ExpertSelector(RegimeTags.size()), RegimeTags(std::move(RegimeTags)),
       Alpha(Alpha) {
   assert(Alpha > 0.0 && Alpha <= 1.0 && "invalid EMA step");
+  // The tags never change, so each regime's candidates (the experts whose
+  // tag fits it, or all of them if none does) are listed once, here.
+  for (int Want = 0; Want < 2; ++Want) {
+    std::vector<size_t> &Matching = Candidates[Want];
+    for (size_t K = 0; K < NumExperts; ++K)
+      if (this->RegimeTags[K] == Want || this->RegimeTags[K] == -1)
+        Matching.push_back(K);
+    if (Matching.empty())
+      for (size_t K = 0; K < NumExperts; ++K)
+        Matching.push_back(K);
+  }
   reset();
 }
 
@@ -373,24 +390,10 @@ bool RegimeSelector::contended(const Vec &Features) {
   return Features[5] > Features[4];
 }
 
-void RegimeSelector::candidatesInto(const Vec &Features,
-                                    std::vector<size_t> &Matching) const {
-  int Want = contended(Features) ? 1 : 0;
-  Matching.clear();
-  for (size_t K = 0; K < NumExperts; ++K)
-    if (RegimeTags[K] == Want || RegimeTags[K] == -1)
-      // medley-lint: allow(hotpath-escape) — amortized: caller-scratch capacity sticks at NumExperts.
-      Matching.push_back(K);
-  if (Matching.empty())
-    for (size_t K = 0; K < NumExperts; ++K)
-      // medley-lint: allow(hotpath-escape) — amortized, same scratch.
-      Matching.push_back(K);
-}
-
 size_t RegimeSelector::select(const Vec &Features) {
-  candidatesInto(Features, ScratchMatching);
-  size_t Best = ScratchMatching.front();
-  for (size_t K : ScratchMatching)
+  const std::vector<size_t> &Matching = Candidates[contended(Features)];
+  size_t Best = Matching.front();
+  for (size_t K : Matching)
     if (ErrorEma[K] < ErrorEma[Best])
       Best = K;
   return Best;
@@ -410,16 +413,16 @@ void RegimeSelector::update(const Vec &, const Vec &Errors) {
 bool RegimeSelector::blendWeights(const Vec &Features, Vec &Weights) {
   if (!Trained)
     return false;
-  candidatesInto(Features, ScratchMatching);
-  ScratchErrors.clear();
-  for (size_t K : ScratchMatching)
-    // medley-lint: allow(hotpath-escape) — amortized sticky scratch.
-    ScratchErrors.push_back(ErrorEma[K]);
-  softmaxOfErrorsInto(ScratchErrors.data(), ScratchErrors.size(),
-                      ScratchInner);
-  Weights.assign(NumExperts, 0.0);
-  for (size_t I = 0; I < ScratchMatching.size(); ++I)
-    Weights[ScratchMatching[I]] = ScratchInner[I];
+  const std::vector<size_t> &Matching = Candidates[contended(Features)];
+  // Gather the candidates' EMAs into the front of Weights, which is about
+  // to be overwritten anyway, and take their softmax.
+  Weights.resize(NumExperts);
+  for (size_t I = 0; I < Matching.size(); ++I)
+    Weights[I] = ErrorEma[Matching[I]];
+  softmaxOfErrorsInto(Weights.data(), Matching.size(), ScratchInner);
+  std::fill(Weights.begin(), Weights.end(), 0.0);
+  for (size_t I = 0; I < Matching.size(); ++I)
+    Weights[Matching[I]] = ScratchInner[I];
   return true;
 }
 

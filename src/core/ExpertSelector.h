@@ -220,17 +220,13 @@ private:
   /// True when the current state is oversubscribed.
   static bool contended(const Vec &Features);
 
-  /// Fills \p Matching with the experts whose tag fits the regime of
-  /// \p Features (all of them if no tag matches).
-  void candidatesInto(const Vec &Features,
-                      std::vector<size_t> &Matching) const;
-
   std::vector<int> RegimeTags;
   double Alpha;
+  /// Experts whose tag fits each regime (index contended()), all of them
+  /// if no tag does; fixed at construction.
+  std::vector<size_t> Candidates[2];
   Vec ErrorEma;
-  std::vector<size_t> ScratchMatching; ///< Reused candidate list.
-  Vec ScratchErrors;                   ///< Reused blend error buffer.
-  Vec ScratchInner;                    ///< Reused blend softmax buffer.
+  Vec ScratchInner; ///< Reused blend softmax buffer.
   bool Trained = false;
 };
 

@@ -31,46 +31,32 @@ MixtureOfExperts::MixtureOfExperts(
 }
 
 void MixtureOfExperts::bindExpertViews() {
-  SharedThreadScaler = nullptr;
-  ThreadModels.clear();
-  EnvModels.clear();
+  const size_t K = Experts->size();
   AnyEnvObserver = false;
   // New models produce new bits for the same features; drop the memo.
   MemoValid = false;
-  MemoHaveThreadPreds = false;
+  PendingEnvPredictions.resize(K);
+  ScratchErrors.resize(K);
+  ScratchThreadPreds.resize(K);
 
-  // ExpertBuilder trains every thread predictor with one corpus-wide
-  // scaler; when that holds (element-wise identical moments), the decision
-  // path standardises features once and scores all experts from the shared
-  // copy — bit-identical, but K-1 fewer standardisations per decision.
-  const LinearModel *First = (*Experts)[0].threadModel();
-  if (First) {
-    SharedThreadScaler = &First->scaler();
-    for (size_t K = 1; K < Experts->size(); ++K) {
-      const LinearModel *M = (*Experts)[K].threadModel();
-      if (!M || M->scaler().means() != First->scaler().means() ||
-          M->scaler().scales() != First->scaler().scales()) {
-        SharedThreadScaler = nullptr;
-        break;
-      }
-    }
-  }
-
-  for (const Expert &E : *Experts) {
+  // Pack the linear experts into the scoring bank; pack() refuses (and the
+  // experts are scored one by one) unless they fit it and their thread
+  // models share one scaler. Swap boundary only: the ctor and
+  // rebindExperts reach here, never the steady decision path.
+  std::array<const LinearModel *, ExpertBank::MaxLanes> Thread{}, Env{};
+  bool Linear = K <= ExpertBank::MaxLanes;
+  for (size_t I = 0; I < K; ++I) {
+    const Expert &E = (*Experts)[I];
     if (E.hasEnvObserver())
       AnyEnvObserver = true;
-    // Swap-boundary rebind, not the steady decision path: only the ctor
-    // and rebindExperts reach here.
-    if (const LinearModel *M = E.envModel())
-      // medley-lint: allow(hotpath-escape) swap-boundary rebind
-      EnvModels.push_back(M);
+    Linear = Linear && E.threadModel() && E.envModel();
+    if (Linear) {
+      Thread[I] = E.threadModel();
+      Env[I] = E.envModel();
+    }
   }
-  if (EnvModels.size() != Experts->size())
-    EnvModels.clear(); // Mixed linear/external experts: keep the slow path.
-  if (SharedThreadScaler)
-    for (const Expert &E : *Experts)
-      // medley-lint: allow(hotpath-escape) swap-boundary rebind (as above)
-      ThreadModels.push_back(E.threadModel());
+  if (!Linear || !Bank.pack(Thread.data(), Env.data(), K))
+    Bank.clear();
 }
 
 bool MixtureOfExperts::rebindExperts(
@@ -90,31 +76,21 @@ void MixtureOfExperts::readmitQuarantined() {
     Guarded->readmitAll();
 }
 
+unsigned
+MixtureOfExperts::expertThreads(size_t K,
+                                const policy::FeatureVector &Features) const {
+  // The banked score is bitwise the model's predict(), so this rounds
+  // exactly what Expert::predictThreads would.
+  return Bank.lanes() ? policy::roundThreads(RawThreads[K], Features.MaxThreads)
+                      : (*Experts)[K].predictThreads(Features);
+}
+
 void MixtureOfExperts::stashPending(const policy::FeatureVector &Features,
-                                    size_t Chosen, bool ReusePredictions) {
+                                    size_t Chosen, bool HaveEnvPredictions) {
   PendingFeatures = Features.Values;
-  if (ReusePredictions) {
-    // Memo hit: PendingEnvPredictions still holds the predictions for
-    // exactly these feature bits under the current expert set (nothing
-    // else writes it), so recomputing them would reproduce the same
-    // values — skip straight to re-arming the judgement.
-    assert(PendingEnvPredictions.size() == Experts->size());
-    PendingChosen = Chosen;
-    HasPending = true;
-    return;
-  }
-  PendingEnvPredictions.resize(Experts->size());
-  if (!EnvModels.empty()) {
-    // Direct linear path, bit-identical to Expert::predictEnvNorm: batch
-    // the raw predictions, then clamp at zero like predictEnvNorm does.
-    LinearModel::predictMany(EnvModels.data(), EnvModels.size(),
-                             Features.Values, PendingEnvPredictions.data());
-    for (size_t K = 0; K < EnvModels.size(); ++K)
-      PendingEnvPredictions[K] = std::max(0.0, PendingEnvPredictions[K]);
-  } else {
+  if (!HaveEnvPredictions)
     for (size_t K = 0; K < Experts->size(); ++K)
       PendingEnvPredictions[K] = (*Experts)[K].predictEnvNorm(Features);
-  }
   PendingChosen = Chosen;
   HasPending = true;
 }
@@ -127,7 +103,6 @@ void MixtureOfExperts::judgePreviousDecision(
   // How far off was each expert's environment prediction made at the
   // previous region, now that the environment is observable?
   double Observed = Features.EnvNorm;
-  ScratchErrors.resize(PendingEnvPredictions.size());
   for (size_t K = 0; K < PendingEnvPredictions.size(); ++K)
     ScratchErrors[K] = std::fabs(PendingEnvPredictions[K] - Observed);
   Selector->update(PendingFeatures, ScratchErrors);
@@ -159,8 +134,7 @@ void MixtureOfExperts::judgePreviousDecision(
 unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   // Pure-part memo probe (before the judge runs: the judge only updates
   // the selector, never the cached pure computations). A hit means the
-  // previous decision saw these exact feature bits, so its standardised
-  // features, batched thread scores and environment predictions are
+  // previous decision saw these exact feature bits, so its scores are
   // bitwise reusable; gating and adaptation below still run in full.
   const bool MemoHit =
       Options.Memoize && MemoValid &&
@@ -173,6 +147,22 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   if (Options.Faults && Features.SanitizedCount > 0)
     Options.Faults->SanitizedValues += Features.SanitizedCount;
 
+  // Linear experts: one bank pass scores every thread and environment
+  // model (the judge above has already read the previous predictions).
+  // The per-expert path below computes its environment predictions after
+  // the thread predictions, in the order Expert's callbacks always ran.
+  const bool Banked = Bank.lanes() != 0;
+  if (Banked && !MemoHit) {
+    assert(Features.Values.size() == policy::NumFeatures &&
+           "bank scoring needs the 10-feature vector");
+    Bank.score(Features.Values.data(), RawThreads.data(),
+               PendingEnvPredictions.data());
+    // Expert::predictEnvNorm clamps the raw prediction at zero.
+    for (size_t K = 0; K < Experts->size(); ++K)
+      PendingEnvPredictions[K] = std::max(0.0, PendingEnvPredictions[K]);
+  }
+  const bool HaveEnvPredictions = Banked || MemoHit;
+
   if (Selector->allQuarantined()) {
     // The ladder's floor: every expert's environment predictor has
     // diverged, so no expert can be trusted. Degrade to exactly the
@@ -181,49 +171,25 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
     // are re-admitted and the mixture resumes automatically.
     if (Options.Faults)
       ++Options.Faults->DefaultFallbacks;
-    double Processors = Features.Values[4];
-    long N = std::clamp<long>(std::lround(Processors), 1,
-                              static_cast<long>(Features.MaxThreads));
-    unsigned Threads = static_cast<unsigned>(N);
-    stashPending(Features, LastExpert, MemoHit);
-    rememberMemoKey(Features, /*ComputedThreadPreds=*/false, MemoHit);
+    unsigned Threads =
+        policy::roundThreads(Features.Values[4], Features.MaxThreads);
+    stashPending(Features, LastExpert, HaveEnvPredictions);
+    rememberMemoKey(Features);
     return Threads;
   }
 
   size_t Chosen;
   unsigned Threads;
   bool HaveThreadPreds = false;
-  bool ComputedThreadPreds = false;
   Vec &Weights = ScratchWeights;
   if (Options.SoftBlend &&
       Selector->blendWeights(Features.Values, Weights)) {
     // Soft gating: accuracy-weighted blend of the expert predictions.
-    if (SharedThreadScaler) {
-      if (!(MemoHit && MemoHaveThreadPreds)) {
-        SharedThreadScaler->transformInto(Features.Values, ScratchStd);
-        ScratchRawThreads.resize(ThreadModels.size());
-        LinearModel::predictStandardizedMany(ThreadModels.data(),
-                                             ThreadModels.size(), ScratchStd,
-                                             ScratchRawThreads.data());
-      }
-      // Either branch leaves ScratchStd/ScratchRawThreads holding the
-      // values for exactly these feature bits.
-      ComputedThreadPreds = true;
-    }
-    ScratchThreadPreds.resize(Experts->size());
     double Blend = 0.0;
     double BestWeight = -1.0;
     Chosen = 0;
     for (size_t K = 0; K < Experts->size(); ++K) {
-      unsigned N;
-      if (SharedThreadScaler) {
-        // Same rounding and clamping as Expert::predictThreads.
-        long R = std::lround(ScratchRawThreads[K]);
-        R = std::clamp<long>(R, 1, static_cast<long>(Features.MaxThreads));
-        N = static_cast<unsigned>(R);
-      } else {
-        N = (*Experts)[K].predictThreads(Features);
-      }
+      unsigned N = expertThreads(K, Features);
       ScratchThreadPreds[K] = N;
       Blend += Weights[K] * static_cast<double>(N);
       if (Weights[K] > BestWeight) {
@@ -232,54 +198,40 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
       }
     }
     HaveThreadPreds = true;
-    long Rounded = std::lround(Blend);
-    Rounded = std::clamp<long>(Rounded, 1,
-                               static_cast<long>(Features.MaxThreads));
-    Threads = static_cast<unsigned>(Rounded);
+    Threads = policy::roundThreads(Blend, Features.MaxThreads);
   } else {
     Chosen = Selector->select(Features.Values);
     assert(Chosen < Experts->size() && "selector returned a bad index");
-    Threads = (*Experts)[Chosen].predictThreads(Features);
+    Threads = expertThreads(Chosen, Features);
   }
   LastExpert = Chosen;
 
   // Stash this decision's environment predictions; they are judged at the
   // next region, which is the paper's next timestamp.
-  stashPending(Features, Chosen, MemoHit);
-  rememberMemoKey(Features, ComputedThreadPreds, MemoHit);
+  stashPending(Features, Chosen, HaveEnvPredictions);
+  rememberMemoKey(Features);
 
   if (Stats) {
     ++Stats->SelectionCounts[Chosen];
     Stats->MixtureThreads.add(Threads);
     // predictThreads is pure, so the per-expert predictions cached by the
     // blend loop above are exactly what a recomputation would produce.
-    if (!HaveThreadPreds) {
-      ScratchThreadPreds.resize(Experts->size());
+    if (!HaveThreadPreds)
       for (size_t K = 0; K < Experts->size(); ++K)
-        ScratchThreadPreds[K] = (*Experts)[K].predictThreads(Features);
-    }
+        ScratchThreadPreds[K] = expertThreads(K, Features);
     for (size_t K = 0; K < Experts->size(); ++K)
       Stats->ExpertThreads[K].add(ScratchThreadPreds[K]);
   }
   return Threads;
 }
 
-void MixtureOfExperts::rememberMemoKey(const policy::FeatureVector &Features,
-                                       bool ComputedThreadPreds,
-                                       bool MemoHit) {
+void MixtureOfExperts::rememberMemoKey(const policy::FeatureVector &Features) {
   if (!Options.Memoize)
     return;
-  if (Features.Values.size() != policy::NumFeatures) {
-    MemoValid = false;
-    MemoHaveThreadPreds = false;
-    return;
-  }
-  std::memcpy(MemoKey.data(), Features.Values.data(),
-              sizeof(double) * policy::NumFeatures);
-  MemoValid = true;
-  // Thread scores stay reusable if this call refreshed them, or if the key
-  // did not change and they were already pinned to it.
-  MemoHaveThreadPreds = ComputedThreadPreds || (MemoHit && MemoHaveThreadPreds);
+  MemoValid = Features.Values.size() == policy::NumFeatures;
+  if (MemoValid)
+    std::memcpy(MemoKey.data(), Features.Values.data(),
+                sizeof(double) * policy::NumFeatures);
 }
 
 void MixtureOfExperts::reset() {
@@ -287,7 +239,6 @@ void MixtureOfExperts::reset() {
   HasPending = false;
   LastExpert = 0;
   MemoValid = false;
-  MemoHaveThreadPreds = false;
 }
 
 const std::string &MixtureOfExperts::name() const {

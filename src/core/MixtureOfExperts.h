@@ -24,6 +24,7 @@
 #include "core/Expert.h"
 #include "core/ExpertSelector.h"
 #include "core/MoeStats.h"
+#include "ml/LinearBank.h"
 #include "policy/ThreadPolicy.h"
 
 #include <array>
@@ -52,8 +53,8 @@ struct MixtureOptions {
   /// Pure-part decision memoization (ROADMAP item 5): when consecutive
   /// decisions arrive with bit-identical feature vectors — which the fleet
   /// engine's environment epochs make the common case — the expensive
-  /// pure computations (feature standardisation, the batched thread-model
-  /// scoring, the per-expert environment predictions) are reused from the
+  /// pure computations (the experts' environment predictions and, for
+  /// banked linear experts, their thread scores) are reused from the
   /// previous decision instead of recomputed. Selector adaptation (the
   /// judge update) and gating still run on every decision, so the emitted
   /// decision sequence is bit-identical with the memo on or off; only the
@@ -82,10 +83,14 @@ public:
   /// Index of the expert chosen at the most recent decision.
   size_t lastExpert() const { return LastExpert; }
 
+  /// True when the experts are scored through the packed bank rather than
+  /// one by one (see the Bank member).
+  bool banked() const { return Bank.lanes() != 0; }
+
   /// Swaps in a new expert vector of the same arity while keeping the
   /// selector's learned state — the registry swap boundary (DESIGN.md
   /// §14): pending judgements are dropped (they priced the old experts)
-  /// and the batched-scoring views are rebuilt. Returns false (and changes
+  /// and the scoring bank is repacked. Returns false (and changes
   /// nothing) on an arity mismatch. Not part of the steady decision path.
   bool rebindExperts(std::shared_ptr<const std::vector<Expert>> NewExperts);
 
@@ -95,23 +100,26 @@ public:
   void readmitQuarantined();
 
 private:
-  /// (Re)derives the batched-scoring views — SharedThreadScaler,
-  /// ThreadModels, EnvModels, AnyEnvObserver — from the current experts.
+  /// (Re)derives the per-expert-set state — the scoring bank, the scratch
+  /// sizes and AnyEnvObserver — from the current experts.
   void bindExpertViews();
   void judgePreviousDecision(const policy::FeatureVector &Features);
 
-  /// Records this decision's per-expert environment predictions so the
-  /// next call can judge them. When \p ReusePredictions is set, the
-  /// predictions already in PendingEnvPredictions were computed from
-  /// bit-identical features against the same expert set and are kept.
-  void stashPending(const policy::FeatureVector &Features, size_t Chosen,
-                    bool ReusePredictions = false);
+  /// Thread prediction of expert \p K for this decision.
+  unsigned expertThreads(size_t K, const policy::FeatureVector &Features) const;
 
-  /// Pins the memo to this decision's feature bits after the decision
-  /// completes; \p ComputedThreadPreds records whether ScratchStd /
-  /// ScratchRawThreads were (re)filled for these features this call.
-  void rememberMemoKey(const policy::FeatureVector &Features,
-                       bool ComputedThreadPreds, bool MemoHit);
+  /// Arms the judgement of this decision's per-expert environment
+  /// predictions at the next call. \p HaveEnvPredictions says
+  /// PendingEnvPredictions already holds them for these features (filled
+  /// by the bank, or kept from a memo hit); otherwise they are computed
+  /// expert by expert here.
+  void stashPending(const policy::FeatureVector &Features, size_t Chosen,
+                    bool HaveEnvPredictions);
+
+  /// Pins the memo to this decision's feature bits after it completes.
+  void rememberMemoKey(const policy::FeatureVector &Features);
+
+  using ExpertBank = LinearBank<policy::NumFeatures>;
 
   std::shared_ptr<const std::vector<Expert>> Experts;
   std::unique_ptr<ExpertSelector> Selector;
@@ -124,29 +132,21 @@ private:
   size_t PendingChosen = 0;
   size_t LastExpert = 0;
 
-  // Per-decision scratch: capacity sticks after the first decision, so the
-  // steady-state path never allocates. Instances are per-worker (factory
-  // clones), so plain members need no synchronisation.
+  // Per-decision scratch: sized per expert set in bindExpertViews (the
+  // selector sizes the weights), so the steady-state path never allocates.
+  // Instances are per-worker (factory clones), so plain members need no
+  // synchronisation.
   Vec ScratchErrors;
   Vec ScratchWeights;
-  Vec ScratchStd;
-  Vec ScratchRawThreads;
   std::vector<unsigned> ScratchThreadPreds;
 
-  /// Set when every expert's thread predictor is linear and uses the same
-  /// feature scaler (the ExpertBuilder trains them that way): features are
-  /// then standardised once per decision instead of once per expert.
-  /// Points into the shared expert vector, which the policy keeps alive.
-  const FeatureScaler *SharedThreadScaler = nullptr;
-
-  /// Raw thread-model pointers, filled exactly when SharedThreadScaler is
-  /// set; scored in one batch from the shared standardised features.
-  std::vector<const LinearModel *> ThreadModels;
-
-  /// Raw environment-model pointers (same lifetime as above), filled only
-  /// when every expert is linear: the pending-prediction loop then skips
-  /// the per-call Expert indirection. Empty otherwise.
-  std::vector<const LinearModel *> EnvModels;
+  /// Every expert's thread and environment model, packed when the experts
+  /// are linear, at most ExpertBank::MaxLanes, and share one thread scaler
+  /// (the ExpertBuilder shape); empty otherwise, and the experts are then
+  /// scored one by one through Expert. One bank pass per decision fills
+  /// RawThreads and PendingEnvPredictions together.
+  ExpertBank Bank;
+  std::array<double, ExpertBank::MaxLanes> RawThreads{};
 
   /// Any expert with an online environment-learning hook? When false the
   /// per-decision observeEnvironment fan-out is a guaranteed no-op.
@@ -154,12 +154,10 @@ private:
 
   /// Pure-part memo state (MixtureOptions::Memoize): MemoKey holds the
   /// feature values of the previous decision; when the next decision's
-  /// values match bitwise, ScratchStd / ScratchRawThreads (if
-  /// MemoHaveThreadPreds) and PendingEnvPredictions still hold exactly
-  /// what recomputation would produce. Invalidated by reset() and by
-  /// expert rebinds (new models, new bits).
+  /// values match bitwise, PendingEnvPredictions (and, with a bank,
+  /// RawThreads) still hold exactly what recomputation would produce.
+  /// Invalidated by reset() and by expert rebinds (new models, new bits).
   bool MemoValid = false;
-  bool MemoHaveThreadPreds = false;
   std::array<double, policy::NumFeatures> MemoKey{};
 };
 

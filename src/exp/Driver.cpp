@@ -7,6 +7,7 @@
 #include "exp/Driver.h"
 
 #include "policy/DefaultPolicy.h"
+#include "support/Fnv.h"
 #include "support/Statistics.h"
 #include "support/ThreadPool.h"
 #include "workload/Catalog.h"
@@ -23,12 +24,8 @@ namespace {
 
 /// FNV-1a over a string mixed with a seed; drives per-cell determinism.
 uint64_t hashCell(uint64_t Seed, const std::string &Key) {
-  uint64_t H = 14695981039346656037ULL ^ Seed;
-  for (char C : Key) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H;
+  return support::fnv1aUpdate(support::fnv1aInit() ^ Seed, Key.data(),
+                              Key.size());
 }
 
 /// Everything per-driver that shapes a measurement, folded into the

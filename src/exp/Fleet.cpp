@@ -10,6 +10,7 @@
 #include "runtime/PolicyBinding.h"
 #include "sim/AvailabilityPattern.h"
 #include "support/Error.h"
+#include "support/Fnv.h"
 #include "workload/Catalog.h"
 
 #include <algorithm>
@@ -18,22 +19,6 @@
 
 using namespace medley;
 using namespace medley::exp;
-
-namespace {
-
-/// Order-sensitive FNV-1a step over one 64-bit word (the same scheme the
-/// engine uses for its stats checksum, kept local to each layer).
-uint64_t fnvStep(uint64_t Hash, uint64_t Value) {
-  for (unsigned Byte = 0; Byte < 8; ++Byte) {
-    Hash ^= (Value >> (Byte * 8)) & 0xFF;
-    Hash *= 1099511628211ULL;
-  }
-  return Hash;
-}
-
-constexpr uint64_t FnvBasis = 14695981039346656037ULL;
-
-} // namespace
 
 /// Per-shard policy plumbing. The policy instance, the memo-aware chooser
 /// every tenant of the shard copies, and the decision log the chooser
@@ -142,8 +127,8 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
     B.Chooser = [Inner, Log](const workload::RegionContext &Ctx) {
       unsigned Threads = Inner(Ctx);
       ++Log->Count;
-      Log->Checksum = fnvStep(Log->Checksum == 0 ? FnvBasis : Log->Checksum,
-                              Threads);
+      Log->Checksum = support::fnv1aWord(
+          Log->Checksum == 0 ? support::fnv1aInit() : Log->Checksum, Threads);
       return Threads;
     };
     B.Observer = runtime::bindObserver(*B.Policy);
@@ -232,12 +217,12 @@ FleetResult FleetScenario::collect(double WallSeconds) const {
   FleetResult Result;
   Result.Stats = Engine->reduce();
   Result.Decisions.reserve(Bindings->size());
-  uint64_t Hash = FnvBasis;
+  uint64_t Hash = support::fnv1aInit();
   for (const Binding &B : *Bindings) {
     Result.Decisions.push_back(B.Log);
     Result.DecisionsTotal += B.Log.Count;
-    Hash = fnvStep(Hash, B.Log.Count);
-    Hash = fnvStep(Hash, B.Log.Checksum);
+    Hash = support::fnv1aWord(Hash, B.Log.Count);
+    Hash = support::fnv1aWord(Hash, B.Log.Checksum);
   }
   Result.DecisionChecksum = Hash;
   Result.TickLatency = Engine->mergedLatency();

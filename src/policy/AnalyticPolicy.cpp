@@ -37,8 +37,7 @@ void AnalyticPolicy::startExploration(unsigned MaxThreads) {
   } else {
     double Down = Generator.uniform(0.5, 0.8);
     double Up = Generator.uniform(1.25, 1.6);
-    First = static_cast<unsigned>(
-        std::clamp<long>(std::lround(HeldThreads * Down), 1, MaxThreads));
+    First = roundThreads(HeldThreads * Down, MaxThreads);
     Second = static_cast<unsigned>(std::clamp<long>(
         std::lround(HeldThreads * Up) + 1, 1, MaxThreads));
     if (Second == First)

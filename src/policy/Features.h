@@ -17,10 +17,30 @@
 
 #include "workload/Program.h"
 
+#include <cassert>
+
 namespace medley::policy {
 
 /// Number of features in the deployed models.
 inline constexpr size_t NumFeatures = 10;
+
+/// The decision path's rounding of a raw thread prediction \p X:
+/// std::clamp(std::lround(X), 1L, long(MaxThreads)) exactly as x86-64
+/// glibc computes it, without the libm call. lround rounds halves away
+/// from zero and there returns LONG_MIN for NaN, ±inf and |X| >= 2^63,
+/// which the clamp turns into 1 — so those map to 1 here too, +inf
+/// included. Like the clamp it replaces, it needs \p MaxThreads >= 1.
+inline unsigned roundThreads(double X, unsigned MaxThreads) {
+  assert(MaxThreads >= 1 && "thread ceiling must be positive");
+  // NaN fails both comparisons; everything below 1.5 rounds to <= 1.
+  if (!(X >= 1.5 && X < 0x1p63))
+    return 1;
+  if (X >= static_cast<double>(MaxThreads))
+    return MaxThreads;
+  // 1.5 <= X < 2^32: X + 0.5 cannot round up across an integer at this
+  // magnitude, so truncating it rounds half away from zero like lround.
+  return static_cast<unsigned>(X + 0.5);
+}
 
 /// One decision point's inputs.
 struct FeatureVector {

@@ -6,9 +6,7 @@
 
 #include "policy/OfflinePolicy.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 using namespace medley;
 using namespace medley::policy;
@@ -20,7 +18,6 @@ OfflinePolicy::OfflinePolicy(LinearModel ThreadModel, std::string PolicyName)
 }
 
 unsigned OfflinePolicy::select(const FeatureVector &Features) {
-  long N = std::lround(ThreadModel.predict(Features.Values));
-  N = std::clamp<long>(N, 1, static_cast<long>(Features.MaxThreads));
-  return static_cast<unsigned>(N);
+  return roundThreads(ThreadModel.predict(Features.Values),
+                      Features.MaxThreads);
 }

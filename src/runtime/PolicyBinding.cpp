@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <memory>
 
@@ -78,11 +77,9 @@ unsigned medley::runtime::threadCeiling(const policy::FeatureVector &Features) {
   // ceiling is 1: a program cannot run with no threads, but it must not
   // pile more onto a machine that has none.
   double Processors = Features.Values[4];
-  long Avail = std::lround(std::min(
-      Processors, static_cast<double>(Features.MaxThreads)));
-  long Ceiling = std::clamp<long>(
-      Avail, 1, static_cast<long>(std::max(1u, Features.MaxThreads)));
-  return static_cast<unsigned>(Ceiling);
+  return policy::roundThreads(
+      std::min(Processors, static_cast<double>(Features.MaxThreads)),
+      std::max(1u, Features.MaxThreads));
 }
 
 workload::ThreadChooser

@@ -38,7 +38,7 @@ unsigned threadCeiling(const policy::FeatureVector &Features);
 
 /// Options for bindPolicy.
 struct BindOptions {
-  /// Region-level decision memoization (ROADMAP item 5, DESIGN.md §16.5).
+  /// Region-level decision memoization (ROADMAP item 5, DESIGN.md §16.3).
   /// The chooser keeps a small direct-mapped memo keyed on (region
   /// identity, environment epoch, observer workload-thread bits,
   /// MaxThreads); the simulator's EnvEpoch proves every other selector

@@ -7,6 +7,7 @@
 #include "sim/FleetEngine.h"
 
 #include "support/Error.h"
+#include "support/Fnv.h"
 
 #include <algorithm>
 #include <cassert>
@@ -27,21 +28,12 @@ uint64_t mix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
-/// Order-sensitive FNV-1a step over one 64-bit word.
-uint64_t fnvStep(uint64_t Hash, uint64_t Value) {
-  for (unsigned Byte = 0; Byte < 8; ++Byte) {
-    Hash ^= (Value >> (Byte * 8)) & 0xFF;
-    Hash *= 1099511628211ULL;
-  }
-  return Hash;
-}
-
 uint64_t fnvStats(uint64_t Hash, const FleetShardStats &S) {
-  Hash = fnvStep(Hash, S.Ticks);
-  Hash = fnvStep(Hash, S.ArrivalsDelivered);
-  Hash = fnvStep(Hash, S.DeparturesSent);
-  Hash = fnvStep(Hash, S.TasksAlive);
-  Hash = fnvStep(Hash, S.RunnableThreads);
+  Hash = support::fnv1aWord(Hash, S.Ticks);
+  Hash = support::fnv1aWord(Hash, S.ArrivalsDelivered);
+  Hash = support::fnv1aWord(Hash, S.DeparturesSent);
+  Hash = support::fnv1aWord(Hash, S.TasksAlive);
+  Hash = support::fnv1aWord(Hash, S.RunnableThreads);
   return Hash;
 }
 
@@ -240,7 +232,7 @@ FleetEngine::shardLatency(unsigned Shard) const {
 FleetStats FleetEngine::reduce() const {
   FleetStats Out;
   Out.Shards.reserve(Shards.size());
-  uint64_t Hash = 14695981039346656037ULL;
+  uint64_t Hash = support::fnv1aInit();
   for (const std::unique_ptr<Shard> &S : Shards) {
     FleetShardStats Stats = S->Stats;
     // Liveness columns re-read at reduction time so a reduce() between

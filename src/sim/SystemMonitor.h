@@ -57,7 +57,7 @@ public:
   /// therefore prove that sample() returns bit-identical EnvSamples
   /// (modulo the observer-dependent WorkloadThreads field, which is a pure
   /// function of runnable() and the observer) — the proof the decision
-  /// memo (DESIGN.md §16.5) builds its environment epoch from. The EMAs
+  /// memo (DESIGN.md §16.3) builds its environment epoch from. The EMAs
   /// reach exact floating-point fixed points under a constant load, so
   /// the version really does go quiet on steady workloads.
   uint64_t version() const { return Version; }

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// 64-bit FNV-1a content hashing, shared by the expert registry's snapshot
-/// checksums and the ExpertIo on-disk format (DESIGN.md §14.4). The hash is
+/// checksums, the ExpertIo on-disk format (DESIGN.md §14.4), the driver's
+/// per-cell seeds and the fleet's decision and stats checksums. The hash is
 /// incremental: start from fnv1aInit(), feed bytes through fnv1aUpdate, and
 /// the running value is the checksum at any prefix. A streamed hash over a
 /// file's payload therefore equals fnv1aBytes over the same bytes, which is
@@ -36,6 +37,14 @@ constexpr uint64_t fnv1aInit() { return Fnv1aOffsetBasis; }
 /// Folds one byte into a running FNV-1a hash.
 constexpr uint64_t fnv1aUpdate(uint64_t Hash, unsigned char Byte) {
   return (Hash ^ static_cast<uint64_t>(Byte)) * Fnv1aPrime;
+}
+
+/// Folds the eight bytes of \p Word into a running FNV-1a hash, low byte
+/// first, so a word's hash does not depend on the host's byte order.
+constexpr uint64_t fnv1aWord(uint64_t Hash, uint64_t Word) {
+  for (unsigned Byte = 0; Byte < 8; ++Byte)
+    Hash = fnv1aUpdate(Hash, static_cast<unsigned char>(Word >> (Byte * 8)));
+  return Hash;
 }
 
 /// Folds \p Size raw bytes into a running FNV-1a hash.

@@ -154,8 +154,11 @@ TEST(LifecycleChaosTest, TrainerThreadFeedsRolloutUnderReaders) {
   std::atomic<uint64_t> NullSnapshots{0};
   {
     // Workers 1..2 run reader loops until Stop; worker 3 streams
-    // candidate submissions, mimicking the background trainer.
-    support::ThreadPool Pool(3);
+    // candidate submissions, mimicking the background trainer. A pool of
+    // size N has N - 1 workers (the caller is the Nth in parallelFor), so
+    // three workers need size 4: with two, both could take a reader loop
+    // first and leave the submissions queued until Stop.
+    support::ThreadPool Pool(4);
     for (unsigned R = 0; R < 2; ++R)
       Pool.submit([&] {
         ExpertRegistry::ReaderEpoch Reader;

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 using namespace medley;
@@ -182,6 +184,47 @@ TEST(SelectorTest, SoftmaxDegenerateEqualErrors) {
   Vec W = ExpertSelector::softmaxOfErrors({0.5, 0.5});
   EXPECT_NEAR(W[0], 0.5, 1e-9);
   EXPECT_NEAR(W[1], 0.5, 1e-9);
+}
+
+TEST(SelectorTest, SoftmaxSkipsExpBitwiseOnTiesAndNonFinite) {
+  // The formula before the exp(-0.0) == 1 skip, kept verbatim.
+  auto Reference = [](const Vec &Errors) {
+    double Mean = Errors[0];
+    double MinError = Errors[0];
+    for (size_t K = 1; K < Errors.size(); ++K) {
+      Mean += Errors[K];
+      if (Errors[K] < MinError)
+        MinError = Errors[K];
+    }
+    Mean /= static_cast<double>(Errors.size());
+    double Tau = std::max(1e-9, 0.3 * Mean);
+    Vec Weights(Errors.size());
+    double Sum = 0.0;
+    for (size_t K = 0; K < Errors.size(); ++K) {
+      Weights[K] = std::exp(-(Errors[K] - MinError) / Tau);
+      Sum += Weights[K];
+    }
+    for (double &W : Weights)
+      W /= Sum;
+    return Weights;
+  };
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Vec> Cases = {
+      {0.5, 0.5},        {0.1, 0.1, 0.3}, {0.0, 0.0, 0.0},  {-0.0, 0.0},
+      {0.0, -0.0, 1.0},  {1e-300, 1e-300}, {5.0},           {0.3, 0.1, 0.1},
+      {0.2, Inf},        {Inf, 0.2},      {Inf, Inf},       {-Inf, 1.0},
+      {NaN, 0.1},        {0.1, NaN},      {NaN, NaN},       {0.1, 0.1, NaN},
+      {Inf, NaN, 0.4},   {0.1, 0.1 + 1e-13, 0.3}};
+  for (const Vec &Errors : Cases) {
+    Vec Expected = Reference(Errors);
+    Vec Actual = ExpertSelector::softmaxOfErrors(Errors);
+    ASSERT_EQ(Actual.size(), Expected.size());
+    for (size_t K = 0; K < Errors.size(); ++K)
+      EXPECT_EQ(std::memcmp(&Actual[K], &Expected[K], sizeof(double)), 0)
+          << "case of size " << Errors.size() << ", weight " << K << ": "
+          << Actual[K] << " vs " << Expected[K];
+  }
 }
 
 TEST(AccuracySelectorTest, ConvergesToBestExpert) {
@@ -527,6 +570,186 @@ TEST(MixtureTest, GoldenDecisionSequenceIsByteIdentical) {
       24, 12, 18, 13, 17, 24, 14, 10, 12, 15, 14, 18, 13, 15, 22, 25,
       19, 18, 13, 16, 15, 17, 23, 26, 13, 18, 14, 14, 14, 13, 22, 11};
   EXPECT_EQ(goldenDecisionSequence(), Expected);
+}
+
+//===----------------------------------------------------------------------===//
+// Packed scoring bank vs the per-expert path
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Vec randomFeatures(Rng &Gen) {
+  return {Gen.uniform(0.1, 1.0),  Gen.uniform(0.2, 1.0),
+          Gen.uniform(0.05, 0.5), Gen.uniform(0.0, 24.0),
+          Gen.uniform(4.0, 32.0), Gen.uniform(0.0, 48.0),
+          Gen.uniform(0.0, 32.0), Gen.uniform(0.0, 32.0),
+          Gen.uniform(0.0, 1.0),  Gen.uniform(0.0, 0.1)};
+}
+
+/// \p K linear experts in the ExpertBuilder shape: the thread models share
+/// one corpus scaler, each environment model keeps its subset's own.
+std::shared_ptr<const std::vector<Expert>> builderShapedExperts(size_t K) {
+  Rng Gen(0xBA4C + K);
+  std::vector<Vec> Corpus;
+  for (int I = 0; I < 200; ++I)
+    Corpus.push_back(randomFeatures(Gen));
+  const FeatureScaler Shared = FeatureScaler::fit(Corpus);
+  auto Experts = std::make_shared<std::vector<Expert>>();
+  for (size_t E = 0; E < K; ++E) {
+    Dataset ThreadData(policy::featureNames());
+    Dataset EnvData(policy::featureNames());
+    const double Bias = 30.0 * static_cast<double>(E) / static_cast<double>(K);
+    for (int I = 0; I < 120; ++I) {
+      Vec X = randomFeatures(Gen);
+      ThreadData.add(X, Bias + 0.4 * X[4] - 0.2 * X[5] + Gen.normal(0, 0.5));
+      // Low experts predict below zero at light load, so the clamp in
+      // Expert::predictEnvNorm matters.
+      EnvData.add(X, 0.2 * Bias - 1.5 + 0.08 * X[5] + Gen.normal(0, 0.1));
+    }
+    auto W = trainLinearModel(ThreadData, "w", {1e-3, true, &Shared});
+    auto M = trainLinearModel(EnvData, "m", {1e-3, true, nullptr});
+    Experts->push_back(Expert("e" + std::to_string(E), "differential", *W,
+                              *M, 0.2 * Bias));
+  }
+  return Experts;
+}
+
+/// The same models wrapped as external experts, which the mixture scores
+/// one by one through Expert's prediction functions.
+std::shared_ptr<const std::vector<Expert>>
+externalTwins(std::shared_ptr<const std::vector<Expert>> Linear) {
+  auto Twins = std::make_shared<std::vector<Expert>>();
+  for (const Expert &E : *Linear) {
+    const LinearModel *W = E.threadModel();
+    const LinearModel *M = E.envModel();
+    Twins->push_back(Expert(
+        E.name(), E.description(),
+        [Linear, W](const Vec &X) { return W->predict(X); },
+        [Linear, M](const Vec &X) { return M->predict(X); },
+        E.meanTrainingEnv()));
+  }
+  return Twins;
+}
+
+std::unique_ptr<ExpertSelector> differentialSelector(const std::string &Kind,
+                                                     size_t K) {
+  std::vector<int> Tags;
+  for (size_t E = 0; E < K; ++E)
+    Tags.push_back(K == 1 ? -1 : E < K / 2 ? 0 : 1);
+  if (Kind == "accuracy")
+    return std::make_unique<AccuracySelector>(K);
+  if (Kind == "quarantine")
+    return std::make_unique<QuarantineSelector>(
+        std::make_unique<RegimeSelector>(Tags));
+  return std::make_unique<RegimeSelector>(Tags);
+}
+
+/// Features in both regimes, under two machine sizes, with runs of
+/// bit-identical vectors (memo hits) and a burst of non-finite
+/// observations that quarantines every expert (the fallback path).
+std::vector<policy::FeatureVector> differentialStream() {
+  Rng Gen(0xD1FF);
+  std::vector<policy::FeatureVector> Stream;
+  for (int I = 0; I < 300; ++I) {
+    policy::FeatureVector F;
+    F.Values = randomFeatures(Gen);
+    F.MaxThreads = I % 5 == 0 ? 8 : 32;
+    for (int Repeat = I % 3 == 0 ? 3 : 1; Repeat > 0; --Repeat) {
+      F.EnvNorm = I >= 40 && I < 46 ? std::numeric_limits<double>::infinity()
+                                    : Gen.uniform(0.2, 8.0);
+      Stream.push_back(F);
+    }
+  }
+  return Stream;
+}
+
+struct DifferentialRun {
+  std::vector<unsigned> Threads;
+  std::vector<size_t> Chosen;
+  std::vector<std::vector<size_t>> ExpertThreads;
+  std::vector<size_t> SelectionCounts, EnvAccurate;
+  uint64_t Fallbacks = 0;
+  bool Banked = false;
+};
+
+DifferentialRun
+runDifferential(std::shared_ptr<const std::vector<Expert>> Experts,
+                const std::string &Kind, bool Memoize, bool SoftBlend) {
+  const size_t K = Experts->size();
+  auto Stats = std::make_shared<MoeStats>(K);
+  support::FaultStats Faults;
+  MixtureOptions Options;
+  Options.Memoize = Memoize;
+  Options.SoftBlend = SoftBlend;
+  Options.Faults = &Faults;
+  MixtureOfExperts Mixture(Experts, differentialSelector(Kind, K), Stats,
+                           Options);
+  DifferentialRun Run;
+  Run.Banked = Mixture.banked();
+  for (const policy::FeatureVector &F : differentialStream()) {
+    Run.Threads.push_back(Mixture.select(F));
+    Run.Chosen.push_back(Mixture.lastExpert());
+  }
+  for (const Histogram &H : Stats->ExpertThreads)
+    Run.ExpertThreads.push_back(H.bucketize(1, 64));
+  Run.SelectionCounts = Stats->SelectionCounts;
+  Run.EnvAccurate = Stats->EnvAccurate;
+  Run.Fallbacks = Faults.DefaultFallbacks;
+  return Run;
+}
+
+} // namespace
+
+TEST(MixtureTest, BankMatchesPerExpertPathBitwise) {
+  // Fig 15c's expert counts, each scored through the bank and through the
+  // per-expert path over the very same models: every decision, chosen
+  // expert and statistic must agree.
+  for (size_t K : {1u, 2u, 4u, 8u}) {
+    auto Linear = builderShapedExperts(K);
+    auto External = externalTwins(Linear);
+    for (const std::string Kind : {"regime", "accuracy", "quarantine"})
+      for (bool Memoize : {false, true})
+        for (bool SoftBlend : {true, false}) {
+          SCOPED_TRACE("K=" + std::to_string(K) + " " + Kind +
+                       (Memoize ? " memo" : "") +
+                       (SoftBlend ? " soft" : " hard"));
+          DifferentialRun Banked =
+              runDifferential(Linear, Kind, Memoize, SoftBlend);
+          DifferentialRun Reference =
+              runDifferential(External, Kind, Memoize, SoftBlend);
+          ASSERT_TRUE(Banked.Banked);
+          ASSERT_FALSE(Reference.Banked);
+          EXPECT_EQ(Banked.Threads, Reference.Threads);
+          EXPECT_EQ(Banked.Chosen, Reference.Chosen);
+          EXPECT_EQ(Banked.ExpertThreads, Reference.ExpertThreads);
+          EXPECT_EQ(Banked.SelectionCounts, Reference.SelectionCounts);
+          EXPECT_EQ(Banked.EnvAccurate, Reference.EnvAccurate);
+          EXPECT_EQ(Banked.Fallbacks, Reference.Fallbacks);
+          if (Kind == "quarantine") {
+            EXPECT_GT(Banked.Fallbacks, 0u) << "fallback path not exercised";
+          }
+          // The stream must exercise the rounding, not one clamped value.
+          std::set<unsigned> Distinct(Banked.Threads.begin(),
+                                      Banked.Threads.end());
+          EXPECT_GT(Distinct.size(), K == 1 ? 3u : 8u);
+        }
+  }
+}
+
+TEST(MixtureTest, BankNeedsSharedThreadScaler) {
+  // The golden experts each fit their own scaler: no bank, one by one.
+  auto Experts = std::make_shared<std::vector<Expert>>();
+  Experts->push_back(makeGoldenExpert("e0", 4.0, 0.3, 101));
+  Experts->push_back(makeGoldenExpert("e1", 10.0, 0.8, 202));
+  MixtureOfExperts Mixture(Experts, std::make_unique<AccuracySelector>(2));
+  EXPECT_FALSE(Mixture.banked());
+  // Nine experts exceed the bank's lanes.
+  MixtureOfExperts Wide(builderShapedExperts(9),
+                        std::make_unique<AccuracySelector>(9));
+  EXPECT_FALSE(Wide.banked());
+  MixtureOfExperts Eight(builderShapedExperts(8),
+                         std::make_unique<AccuracySelector>(8));
+  EXPECT_TRUE(Eight.banked());
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 #include "ml/FeatureImpact.h"
 #include "ml/FeatureScaler.h"
 #include "ml/FeatureSelection.h"
+#include "ml/LinearBank.h"
 #include "ml/KnnModel.h"
 #include "ml/SvrModel.h"
 #include "ml/LinearModel.h"
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace medley;
 
@@ -166,6 +168,89 @@ TEST(LinearModelTest, SharedScalerPredictionsMatchOwnScaler) {
   ASSERT_TRUE(A && B);
   Vec Probe = {0.3, -0.7, 1.1};
   EXPECT_NEAR(A->predict(Probe), B->predict(Probe), 1e-6);
+}
+
+namespace {
+
+/// A model over \p Dim features with random targets; \p Shared, when
+/// set, replaces the fitted scaler.
+LinearModel randomModel(Rng &Gen, size_t Dim, const FeatureScaler *Shared) {
+  Dataset Data(std::vector<std::string>(Dim, "f"));
+  for (int I = 0; I < 60; ++I) {
+    Vec X(Dim);
+    for (double &V : X)
+      V = Gen.uniform(-5.0, 20.0);
+    Data.add(std::move(X), Gen.uniform(0.0, 30.0), "g");
+  }
+  auto Model = trainLinearModel(Data, "m", {1e-3, true, Shared});
+  EXPECT_TRUE(Model.has_value());
+  return *Model;
+}
+
+} // namespace
+
+TEST(LinearBankTest, ScoresMatchPredictBitwise) {
+  // Every lane of every width must reproduce its model's predict() bit
+  // for bit: same operations, same order, intercept last.
+  Rng Gen(0xB4A7);
+  std::vector<Vec> Corpus;
+  for (int I = 0; I < 100; ++I) {
+    Vec X(10);
+    for (double &V : X)
+      V = Gen.uniform(-5.0, 20.0);
+    Corpus.push_back(X);
+  }
+  const FeatureScaler Shared = FeatureScaler::fit(Corpus);
+  for (size_t K = 1; K <= LinearBank<10>::MaxLanes; ++K) {
+    std::vector<LinearModel> Thread, Env;
+    for (size_t L = 0; L < K; ++L) {
+      Thread.push_back(randomModel(Gen, 10, &Shared));
+      Env.push_back(randomModel(Gen, 10, nullptr));
+    }
+    std::vector<const LinearModel *> ThreadPtrs, EnvPtrs;
+    for (size_t L = 0; L < K; ++L) {
+      ThreadPtrs.push_back(&Thread[L]);
+      EnvPtrs.push_back(&Env[L]);
+    }
+    LinearBank<10> Bank;
+    ASSERT_TRUE(Bank.pack(ThreadPtrs.data(), EnvPtrs.data(), K));
+    ASSERT_EQ(Bank.lanes(), K);
+    double ThreadOut[LinearBank<10>::MaxLanes];
+    double EnvOut[LinearBank<10>::MaxLanes];
+    for (int Probe = 0; Probe < 200; ++Probe) {
+      Vec X(10);
+      for (double &V : X)
+        V = Gen.uniform(-50.0, 80.0);
+      Bank.score(X.data(), ThreadOut, EnvOut);
+      for (size_t L = 0; L < K; ++L) {
+        const double WantThread = Thread[L].predict(X);
+        const double WantEnv = Env[L].predict(X);
+        ASSERT_EQ(std::memcmp(&ThreadOut[L], &WantThread, sizeof(double)), 0)
+            << "K=" << K << " lane " << L;
+        ASSERT_EQ(std::memcmp(&EnvOut[L], &WantEnv, sizeof(double)), 0)
+            << "K=" << K << " lane " << L;
+      }
+    }
+  }
+}
+
+TEST(LinearBankTest, RefusesWhatItCannotPack) {
+  Rng Gen(0xB4A8);
+  LinearModel A = randomModel(Gen, 10, nullptr);
+  LinearModel B = randomModel(Gen, 10, nullptr); // Its own thread scaler.
+  LinearModel Narrow = randomModel(Gen, 3, nullptr);
+  LinearBank<10> Bank;
+  const LinearModel *Ok[] = {&A, &A};
+  ASSERT_TRUE(Bank.pack(Ok, Ok, 2));
+  // Refusal empties the bank, so no stale packing survives it.
+  const LinearModel *Unshared[] = {&A, &B};
+  EXPECT_FALSE(Bank.pack(Unshared, Ok, 2));
+  EXPECT_EQ(Bank.lanes(), 0u);
+  const LinearModel *Wrong[] = {&Narrow};
+  EXPECT_FALSE(Bank.pack(Wrong, Wrong, 1));
+  std::vector<const LinearModel *> Nine(9, &A);
+  EXPECT_FALSE(Bank.pack(Nine.data(), Nine.data(), 9));
+  EXPECT_FALSE(Bank.pack(Ok, Ok, 0));
 }
 
 TEST(LinearModelTest, RidgeBiasesTowardMean) {

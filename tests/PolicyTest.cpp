@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 using namespace medley;
@@ -406,6 +408,48 @@ TEST(FeaturesTest, BuildFeaturesSanitizesCorruptSample) {
 //===----------------------------------------------------------------------===//
 // Binding-site thread clamp (degradation-ladder rung 4)
 //===----------------------------------------------------------------------===//
+
+TEST(ThreadClampTest, RoundThreadsMatchesClampedLround) {
+  // roundThreads stands in for std::clamp(std::lround(X), 1L, Max) on the
+  // decision path; it must agree on every input, halves and their
+  // neighbours included.
+  std::vector<double> Inputs = {0.0,
+                                -0.0,
+                                0x1p52 - 1,
+                                0x1p52,
+                                0x1p52 + 1,
+                                -(0x1p52 + 1),
+                                0x1p53 + 2,
+                                std::numeric_limits<double>::min(),
+                                0.49999999999999994};
+  for (int Whole = -4; Whole <= 40; ++Whole) {
+    double Half = Whole + 0.5;
+    Inputs.insert(Inputs.end(),
+                  {Half, std::nextafter(Half, -HUGE_VAL),
+                   std::nextafter(Half, HUGE_VAL), static_cast<double>(Whole)});
+  }
+#if defined(__GLIBC__) && defined(__x86_64__)
+  // Out of lround's range glibc returns LONG_MIN, which clamps to 1.
+  Inputs.insert(Inputs.end(),
+                {0x1p63, -0x1p63, std::nextafter(0x1p63, 0.0), 0x1p64, 1e300,
+                 -1e300, std::numeric_limits<double>::infinity(),
+                 -std::numeric_limits<double>::infinity(),
+                 std::numeric_limits<double>::quiet_NaN()});
+#endif
+  for (unsigned Max : {1u, 2u, 8u, 31u, 32u, 1000u, 4294967295u}) {
+    std::vector<double> All = Inputs;
+    for (double Edge : {Max - 0.5, Max + 0.5, double(Max)})
+      All.insert(All.end(), {Edge, std::nextafter(Edge, -HUGE_VAL),
+                             std::nextafter(Edge, HUGE_VAL)});
+    for (double X : All) {
+      long Expected =
+          std::clamp(std::lround(X), 1L, static_cast<long>(Max));
+      EXPECT_EQ(roundThreads(X, Max), static_cast<unsigned>(Expected))
+          << "X = " << X << " (" << std::hexfloat << X << std::defaultfloat
+          << "), Max = " << Max;
+    }
+  }
+}
 
 TEST(ThreadClampTest, CeilingIsAvailableProcessors) {
   EXPECT_EQ(runtime::threadCeiling(makeFeatures(4, 2, 6)), 4u);

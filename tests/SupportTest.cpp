@@ -8,6 +8,7 @@
 #include "support/Csv.h"
 #include "support/Error.h"
 #include "support/FaultStats.h"
+#include "support/Fnv.h"
 #include "support/Histogram.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
@@ -127,6 +128,21 @@ TEST(RngTest, SplitProducesIndependentStream) {
   for (int I = 0; I < 16 && !AnyDifferent; ++I)
     AnyDifferent = A.next() != B.next();
   EXPECT_TRUE(AnyDifferent);
+}
+
+//===----------------------------------------------------------------------===//
+// FNV-1a
+//===----------------------------------------------------------------------===//
+
+TEST(FnvTest, WordFoldsLowByteFirst) {
+  // The fleet checksums fold 64-bit words low byte first, on any host
+  // byte order.
+  const unsigned char Bytes[] = {0x08, 0x07, 0x06, 0x05,
+                                 0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(support::fnv1aWord(support::fnv1aInit(), 0x0102030405060708ULL),
+            support::fnv1aBytes(Bytes, sizeof(Bytes)));
+  EXPECT_NE(support::fnv1aWord(support::fnv1aInit(), 1),
+            support::fnv1aWord(support::fnv1aInit(), 1ULL << 56));
 }
 
 //===----------------------------------------------------------------------===//
