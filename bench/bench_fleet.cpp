@@ -21,77 +21,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "CountingAllocator.h"
 
 #include "exp/Fleet.h"
 #include "support/StringUtils.h"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <new>
 #include <string>
 
 using namespace medley;
-
-// Counting global allocator, as in bench_hotpath_decision: every operator
-// new bumps the counter so the steady-tick allocation gate can count heap
-// traffic exactly. Sanitizer builds keep the stock allocator (their
-// interceptors conflict with a user replacement); the gate only runs on
-// plain builds.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define MEDLEY_COUNTING_ALLOC 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define MEDLEY_COUNTING_ALLOC 0
-#else
-#define MEDLEY_COUNTING_ALLOC 1
-#endif
-#else
-#define MEDLEY_COUNTING_ALLOC 1
-#endif
-
-static std::atomic<size_t> GAllocCount{0};
-
-#if MEDLEY_COUNTING_ALLOC
-static void *countedAlloc(std::size_t Size) {
-  ++GAllocCount;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-
-static void *countedAlignedAlloc(std::size_t Size, std::size_t Align) {
-  ++GAllocCount;
-  std::size_t Rounded = (Size + Align - 1) / Align * Align;
-  if (void *P = std::aligned_alloc(Align, Rounded ? Rounded : Align))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new(std::size_t Size) { return countedAlloc(Size); }
-void *operator new[](std::size_t Size) { return countedAlloc(Size); }
-void *operator new(std::size_t Size, std::align_val_t Align) {
-  return countedAlignedAlloc(Size, static_cast<std::size_t>(Align));
-}
-void *operator new[](std::size_t Size, std::align_val_t Align) {
-  return countedAlignedAlloc(Size, static_cast<std::size_t>(Align));
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-#endif // MEDLEY_COUNTING_ALLOC
 
 namespace {
 
@@ -113,9 +54,9 @@ size_t steadyTickAllocs(bool Memoize) {
   Engine.stepShard(0, 128); // Warm-up: capacities and memo tables settle.
   size_t Min = std::numeric_limits<size_t>::max();
   for (int I = 0; I < 64; ++I) {
-    size_t Before = GAllocCount.load();
+    size_t Before = bench::allocationCount();
     Engine.stepShard(0, 1);
-    Min = std::min(Min, GAllocCount.load() - Before);
+    Min = std::min(Min, bench::allocationCount() - Before);
   }
   return Min;
 }

@@ -26,6 +26,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "CountingAllocator.h"
 
 #include "core/ExpertRegistry.h"
 #include "core/ExpertSelector.h"
@@ -36,7 +37,6 @@
 #include "support/StringUtils.h"
 #include "workload/Catalog.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -44,70 +44,10 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
 using namespace medley;
-
-// Counting global allocator: every operator new in the process bumps the
-// counter, so the bench can assert how many heap allocations a
-// steady-state simulation tick performs (the acceptance gate is zero).
-// Sanitizer builds keep the stock allocator — ASan/TSan intercept
-// malloc/new themselves and a user replacement produces alloc-dealloc
-// mismatches; the counter then stays at zero, which is harmless because
-// the perf gate only runs on plain builds.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define MEDLEY_COUNTING_ALLOC 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define MEDLEY_COUNTING_ALLOC 0
-#else
-#define MEDLEY_COUNTING_ALLOC 1
-#endif
-#else
-#define MEDLEY_COUNTING_ALLOC 1
-#endif
-
-static std::atomic<size_t> GAllocCount{0};
-
-#if MEDLEY_COUNTING_ALLOC
-static void *countedAlloc(std::size_t Size) {
-  ++GAllocCount;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-
-static void *countedAlignedAlloc(std::size_t Size, std::size_t Align) {
-  ++GAllocCount;
-  std::size_t Rounded = (Size + Align - 1) / Align * Align;
-  if (void *P = std::aligned_alloc(Align, Rounded ? Rounded : Align))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new(std::size_t Size) { return countedAlloc(Size); }
-void *operator new[](std::size_t Size) { return countedAlloc(Size); }
-void *operator new(std::size_t Size, std::align_val_t Align) {
-  return countedAlignedAlloc(Size, static_cast<std::size_t>(Align));
-}
-void *operator new[](std::size_t Size, std::align_val_t Align) {
-  return countedAlignedAlloc(Size, static_cast<std::size_t>(Align));
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-#endif // MEDLEY_COUNTING_ALLOC
 
 namespace {
 
@@ -277,10 +217,10 @@ size_t acquireAllocs(const core::ExpertRegistry &Registry) {
   size_t Sink = 0;
   for (int I = 0; I < 8; ++I)
     Sink += Registry.acquire(Reader)->Version;
-  size_t Before = GAllocCount.load();
+  size_t Before = bench::allocationCount();
   for (int I = 0; I < 1024; ++I)
     Sink += Registry.acquire(Reader)->Version;
-  size_t Allocs = GAllocCount.load() - Before;
+  size_t Allocs = bench::allocationCount() - Before;
   // Keep the loop honest without polluting the JSON.
   if (Sink == 0)
     std::cerr << "";
@@ -360,9 +300,9 @@ size_t steadyTickAllocs() {
     Sim.step();
   size_t Min = std::numeric_limits<size_t>::max();
   for (int I = 0; I < 64; ++I) {
-    size_t Before = GAllocCount.load();
+    size_t Before = bench::allocationCount();
     Sim.step();
-    Min = std::min(Min, GAllocCount.load() - Before);
+    Min = std::min(Min, bench::allocationCount() - Before);
   }
   return Min;
 }

@@ -39,10 +39,10 @@ void MixtureOfExperts::bindExpertViews() {
   ScratchErrors.resize(K);
   ScratchThreadPreds.resize(K);
 
-  // Pack the linear experts into the scoring bank; pack() refuses (and the
-  // experts are scored one by one) unless they fit it and their thread
-  // models share one scaler. Swap boundary only: the ctor and
-  // rebindExperts reach here, never the steady decision path.
+  // Pack linear experts, at most the bank's lanes of them, into the
+  // scoring bank; other sets (external experts, more than 8) are scored one
+  // by one. Swap boundary only: the ctor and rebindExperts reach here,
+  // never the steady decision path.
   std::array<const LinearModel *, ExpertBank::MaxLanes> Thread{}, Env{};
   bool Linear = K <= ExpertBank::MaxLanes;
   for (size_t I = 0; I < K; ++I) {
@@ -79,8 +79,9 @@ void MixtureOfExperts::readmitQuarantined() {
 unsigned
 MixtureOfExperts::expertThreads(size_t K,
                                 const policy::FeatureVector &Features) const {
-  // The banked score is bitwise the model's predict(), so this rounds
-  // exactly what Expert::predictThreads would.
+  // The banked score is the thread model's prediction with its scaler
+  // folded in; it may differ from predict() in the last bits, which the
+  // rounding absorbs (DESIGN.md §11).
   return Bank.lanes() ? policy::roundThreads(RawThreads[K], Features.MaxThreads)
                       : (*Experts)[K].predictThreads(Features);
 }

@@ -105,7 +105,8 @@ private:
   void bindExpertViews();
   void judgePreviousDecision(const policy::FeatureVector &Features);
 
-  /// Thread prediction of expert \p K for this decision.
+  /// Thread prediction of expert \p K for this decision: the bank's folded
+  /// score rounded when banked, else Expert::predictThreads.
   unsigned expertThreads(size_t K, const policy::FeatureVector &Features) const;
 
   /// Arms the judgement of this decision's per-expert environment
@@ -140,11 +141,12 @@ private:
   Vec ScratchWeights;
   std::vector<unsigned> ScratchThreadPreds;
 
-  /// Every expert's thread and environment model, packed when the experts
-  /// are linear, at most ExpertBank::MaxLanes, and share one thread scaler
-  /// (the ExpertBuilder shape); empty otherwise, and the experts are then
-  /// scored one by one through Expert. One bank pass per decision fills
-  /// RawThreads and PendingEnvPredictions together.
+  /// Every expert's thread and environment model, packed with each
+  /// model's scaler folded into its weights when the experts are linear
+  /// and at most ExpertBank::MaxLanes; empty otherwise (external experts,
+  /// more than 8), and the experts are then scored one by one through
+  /// Expert. One bank pass per decision fills RawThreads and
+  /// PendingEnvPredictions together.
   ExpertBank Bank;
   std::array<double, ExpertBank::MaxLanes> RawThreads{};
 

@@ -20,14 +20,25 @@
 using namespace medley;
 using namespace medley::exp;
 
-/// Per-shard policy plumbing. The policy instance, the memo-aware chooser
-/// every tenant of the shard copies, and the decision log the chooser
-/// appends to — all touched only by the shard's worker during a run.
+/// Per-shard policy plumbing. The policy instance, its memo-aware chooser,
+/// and the decision log every decision appends to — all touched only by
+/// the shard's worker during a run. Tenants reach the chooser through a
+/// closure holding only the Binding's address, which std::function stores
+/// inline: a tenant costs no chooser copy on the heap.
 struct FleetScenario::Binding {
   std::unique_ptr<policy::ThreadPolicy> Policy;
   workload::ThreadChooser Chooser;
   workload::RegionObserver Observer;
   FleetShardDecisions Log;
+
+  /// One decision through Chooser, folded into Log.
+  unsigned choose(const workload::RegionContext &Ctx) {
+    unsigned Threads = Chooser(Ctx);
+    ++Log.Count;
+    Log.Checksum = support::fnv1aWord(
+        Log.Checksum == 0 ? support::fnv1aInit() : Log.Checksum, Threads);
+    return Threads;
+  }
 };
 
 sim::MachineConfig FleetScenario::shardMachine(unsigned TenantsPerShard,
@@ -116,21 +127,13 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
     Bindings->push_back(std::move(B));
   }
   // Second pass, after the vector stopped growing: choosers and observers
-  // hold references to their Binding's policy, so storage must be final.
+  // hold references to their Binding's policy, and tenants to the Binding,
+  // so storage must be final.
   for (unsigned S = 0; S < Config.Shards; ++S) {
     Binding &B = (*Bindings)[S];
     runtime::BindOptions Options;
     Options.Memoize = Config.Memoize;
-    workload::ThreadChooser Inner =
-        runtime::bindPolicy(*B.Policy, Cores, Options);
-    FleetShardDecisions *Log = &B.Log;
-    B.Chooser = [Inner, Log](const workload::RegionContext &Ctx) {
-      unsigned Threads = Inner(Ctx);
-      ++Log->Count;
-      Log->Checksum = support::fnv1aWord(
-          Log->Checksum == 0 ? support::fnv1aInit() : Log->Checksum, Threads);
-      return Threads;
-    };
+    B.Chooser = runtime::bindPolicy(*B.Policy, Cores, Options);
     B.Observer = runtime::bindObserver(*B.Policy);
   }
 
@@ -141,11 +144,12 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
   MakeTenant = [Specs, BindingsRef, MaxThreads](
                    unsigned Shard,
                    uint64_t Token) -> std::shared_ptr<sim::Task> {
-    const Binding &B = (*BindingsRef)[Shard];
+    Binding *B = &(*BindingsRef)[Shard];
     auto Tenant = std::make_shared<workload::Program>(
-        (*Specs)[Token % Specs->size()], B.Chooser, MaxThreads,
-        /*Looping=*/true);
-    Tenant->setRegionObserver(B.Observer);
+        (*Specs)[Token % Specs->size()],
+        [B](const workload::RegionContext &Ctx) { return B->choose(Ctx); },
+        MaxThreads, /*Looping=*/true);
+    Tenant->setRegionObserver(B->Observer);
     return Tenant;
   };
   Fleet.TenantFactory = MakeTenant;
@@ -163,16 +167,32 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
       std::max(1.0, Config.BurstFraction * static_cast<double>(PerShard)));
   Engine->setChurnHook([NumShards, Rate, BurstEvery, BurstSize](
                            unsigned, uint64_t Round, Rng &R,
-                           sim::Simulation &Sim, support::Arena &,
+                           sim::Simulation &Sim, support::Arena &Scratch,
                            sim::MailSink &Sink) {
-    double Want = Rate * static_cast<double>(Sim.numTasks());
+    // The round-start task list, taken once. A removal only tombstones its
+    // slot, so the list stays valid, and the table compacts once, when
+    // runChurn counts the survivors.
+    const std::vector<std::shared_ptr<sim::Task>> &Tasks = Sim.tasks();
+    const size_t Alive = Tasks.size();
+    double Want = Rate * static_cast<double>(Alive);
     auto Leavers = static_cast<uint64_t>(Want);
     if (R.bernoulli(Want - static_cast<double>(Leavers)))
       ++Leavers;
-    for (uint64_t I = 0; I < Leavers && Sim.numTasks() > 0; ++I) {
-      auto Victim = static_cast<size_t>(
-          R.uniformInt(0, static_cast<int64_t>(Sim.numTasks()) - 1));
-      Sim.removeTask(Sim.tasks()[Victim].get());
+    Leavers = std::min<uint64_t>(Leavers, Alive);
+    // Round-start slots of this round's victims so far, ascending.
+    size_t *Gone = Scratch.allocateArray<size_t>(Leavers);
+    for (uint64_t I = 0; I < Leavers; ++I) {
+      // Victim I is drawn among the Alive - I tenants still live, in
+      // insertion order; skipping the earlier victims maps that rank to
+      // its round-start slot.
+      auto Slot = static_cast<size_t>(
+          R.uniformInt(0, static_cast<int64_t>(Alive - I) - 1));
+      size_t Pos = 0;
+      for (; Pos < I && Gone[Pos] <= Slot; ++Pos)
+        ++Slot;
+      std::copy_backward(Gone + Pos, Gone + I, Gone + I + 1);
+      Gone[Pos] = Slot;
+      Sim.removeTask(Tasks[Slot].get());
       if (R.bernoulli(0.5))
         Sink.send(static_cast<unsigned>(R.uniformInt(0, NumShards - 1)),
                   R.next());

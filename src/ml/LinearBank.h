@@ -6,17 +6,25 @@
 ///
 /// \file
 /// A packed, feature-major bank of K <= MaxLanes (thread, environment)
-/// linear model pairs over N features, scored in one pass. The thread
-/// models share one feature scaler (ExpertBuilder trains them that way);
-/// each environment model keeps its own. The mixture packs its experts
-/// into a bank once per expert set and scores it once per decision.
+/// linear model pairs over N features, scored in one pass. The mixture
+/// packs its experts into a bank once per expert set and scores it once
+/// per decision.
 ///
-/// Each lane performs LinearModel::predict()'s operations in predict()'s
-/// order — one accumulator starting at 0.0, features in index order, the
-/// intercept added last — so every output is bit-identical to the model's
-/// own predict(). Lanes only run side by side; with N and K known at
-/// compile time the loops unroll and the compiler packs independent lanes
-/// into vector registers without reordering any lane's additions.
+/// pack() folds each model's scaler into its weights, lane by lane:
+/// w'_i = w_i / sigma_i and b' = b - sum_i w'_i * mu_i (summed from 0.0 in
+/// index order). score() is then 2K plain dot products over the raw
+/// features, with no subtraction or division: one accumulator per lane
+/// starting at 0.0, features in index order, the folded intercept added
+/// last. The models need not share a scaler.
+///
+/// The fold reassociates predict()'s arithmetic, so a lane may differ
+/// from its model's predict() in the last bits, by a few ulps of
+/// |b| + sum_i |w'_i x_i| + sum_i |w'_i mu_i|. LinearBankTest holds every
+/// lane within 1e-12 * (|b| + sum_i |w_i (x_i - mu_i) / sigma_i|) of
+/// predict(). An identity scaler (mu = 0, sigma = 1) folds exactly, and
+/// the lane then equals predict() bitwise. Decisions round these scores
+/// to thread counts, and the mixture's decision tests pin them
+/// (DESIGN.md §11).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,36 +42,22 @@ template <size_t N> class LinearBank {
 public:
   static constexpr size_t MaxLanes = 8;
 
-  /// Packs the pairs (\p Thread[k], \p Env[k]) for k < \p NumLanes.
-  /// Returns false and leaves the bank empty unless 1 <= NumLanes <=
-  /// MaxLanes, every model has dimension N, and the thread models' scalers
-  /// are element-wise identical.
+  /// Packs the pairs (\p Thread[k], \p Env[k]) for k < \p NumLanes, each
+  /// model's scaler folded into its weights. Returns false and leaves the
+  /// bank empty unless 1 <= NumLanes <= MaxLanes and every model has
+  /// dimension N.
   bool pack(const LinearModel *const *Thread, const LinearModel *const *Env,
             size_t NumLanes) {
     Lanes = 0;
     if (NumLanes == 0 || NumLanes > MaxLanes)
       return false;
-    const FeatureScaler &Shared = Thread[0]->scaler();
     for (size_t K = 0; K < NumLanes; ++K)
-      if (Thread[K]->dimension() != N || Env[K]->dimension() != N ||
-          Thread[K]->scaler().means() != Shared.means() ||
-          Thread[K]->scaler().scales() != Shared.scales())
+      if (Thread[K]->dimension() != N || Env[K]->dimension() != N)
         return false;
 
-    for (size_t I = 0; I < N; ++I) {
-      ThreadMean[I] = Shared.means()[I];
-      ThreadScale[I] = Shared.scales()[I];
-      double *Row = Rows + I * RowWidth * NumLanes;
-      for (size_t K = 0; K < NumLanes; ++K) {
-        Row[K] = Thread[K]->weights()[I];
-        Row[NumLanes + K] = Env[K]->scaler().means()[I];
-        Row[2 * NumLanes + K] = Env[K]->scaler().scales()[I];
-        Row[3 * NumLanes + K] = Env[K]->weights()[I];
-      }
-    }
     for (size_t K = 0; K < NumLanes; ++K) {
-      ThreadIntercept[K] = Thread[K]->intercept();
-      EnvIntercept[K] = Env[K]->intercept();
+      ThreadIntercept[K] = fold(*Thread[K], K, NumLanes);
+      EnvIntercept[K] = fold(*Env[K], NumLanes + K, NumLanes);
     }
     Lanes = NumLanes;
     return true;
@@ -76,7 +70,8 @@ public:
   size_t lanes() const { return Lanes; }
 
   /// Scores every lane over the N raw features \p X: ThreadOut[k] and
-  /// EnvOut[k] equal Thread[k]->predict(X) and Env[k]->predict(X) bitwise.
+  /// EnvOut[k] are Thread[k]'s and Env[k]'s predictions, within the fold's
+  /// rounding of predict() (see the file comment).
   void score(const double *X, double *ThreadOut, double *EnvOut) const {
     assert(Lanes != 0 && "scoring an empty bank");
     switch (Lanes) {
@@ -92,9 +87,25 @@ public:
   }
 
 private:
-  /// Doubles per lane in a feature row: thread weight, environment mean,
-  /// scale and weight.
-  static constexpr size_t RowWidth = 4;
+  /// Doubles per lane in a feature row: folded thread and environment
+  /// weights.
+  static constexpr size_t RowWidth = 2;
+
+  /// Writes \p Model's folded weights into column \p Column of every
+  /// feature row (rows \p NumLanes lanes wide) and returns its folded
+  /// intercept.
+  double fold(const LinearModel &Model, size_t Column, size_t NumLanes) {
+    const Vec &Weights = Model.weights();
+    const Vec &Means = Model.scaler().means();
+    const Vec &Scales = Model.scaler().scales();
+    double Shift = 0.0;
+    for (size_t I = 0; I < N; ++I) {
+      const double W = Weights[I] / Scales[I];
+      Rows[I * RowWidth * NumLanes + Column] = W;
+      Shift += W * Means[I];
+    }
+    return Model.intercept() - Shift;
+  }
 
   template <size_t K>
   void scoreLanes(const double *X, double *ThreadOut, double *EnvOut) const {
@@ -115,21 +126,15 @@ private:
   template <size_t K>
   void accumulate(size_t I, double XI, double *ThreadSum,
                   double *EnvSum) const {
-    // The shared thread scaler's standardised feature, as transformInto
-    // and every thread model's predict() compute it.
-    const double Z = (XI - ThreadMean[I]) / ThreadScale[I];
     const double *Row = Rows + I * RowWidth * K;
     for (size_t L = 0; L < K; ++L) {
-      ThreadSum[L] += Row[L] * Z;
-      EnvSum[L] += Row[3 * K + L] * ((XI - Row[K + L]) / Row[2 * K + L]);
+      ThreadSum[L] += Row[L] * XI;
+      EnvSum[L] += Row[K + L] * XI;
     }
   }
 
-  /// The shared thread scaler.
-  double ThreadMean[N] = {};
-  double ThreadScale[N] = {};
-  /// Feature row I holds, at stride lanes(): the K thread weights, then
-  /// the K environment means, scales and weights.
+  /// Feature row I holds, at stride lanes(): the K folded thread weights,
+  /// then the K folded environment weights.
   double Rows[N * RowWidth * MaxLanes] = {};
   double ThreadIntercept[MaxLanes] = {};
   double EnvIntercept[MaxLanes] = {};

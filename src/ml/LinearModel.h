@@ -52,8 +52,8 @@ public:
   /// Each model's accumulation runs in its own register chain in the exact
   /// index order of predict(), so every Out[K] is bit-identical to
   /// Models[K]->predict(X) — the interleaving only buys instruction-level
-  /// parallelism across the independent chains. The mixture calls this
-  /// once per decision for the per-expert environment predictions.
+  /// parallelism across the independent chains. RolloutController calls
+  /// this for the shadow comparison's environment predictions.
   static void predictMany(const LinearModel *const *Models, size_t NumModels,
                           const Vec &X, double *Out);
 

@@ -29,7 +29,8 @@ namespace medley::support {
 /// Fixed-size pool of worker threads executing queued tasks.
 class ThreadPool {
 public:
-  /// Creates \p Threads workers; 0 means defaultJobs().
+  /// Creates a pool of size \p Threads (0 means defaultJobs()): Threads - 1
+  /// worker threads, with the caller of parallelFor as the last one.
   explicit ThreadPool(unsigned Threads = 0);
 
   /// Drains outstanding tasks and joins the workers.
@@ -49,7 +50,10 @@ public:
   /// still drained, their results discarded).
   void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
-  /// Enqueues a single fire-and-forget task on the pool.
+  /// Enqueues a single fire-and-forget task for the size() - 1 workers,
+  /// which take queued tasks newest first; a pool of size 1 runs it inline
+  /// before returning. A task occupies its worker until it returns, so at
+  /// most size() - 1 submitted tasks run at once; the rest wait queued.
   void submit(std::function<void()> Task);
 
   /// The process-wide default worker count: the MEDLEY_JOBS environment

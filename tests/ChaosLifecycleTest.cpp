@@ -20,7 +20,9 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 using namespace medley;
 using namespace medley::core;
@@ -95,15 +97,19 @@ TEST(LifecycleChaosTest, PublishHammerKeepsReadersConsistent) {
   constexpr int Publications = 400;
   constexpr unsigned Readers = 4;
   std::atomic<bool> Stop{false};
+  std::atomic<unsigned> Started{0};
   std::atomic<uint64_t> NullSnapshots{0};
   std::atomic<uint64_t> TornSnapshots{0};
   std::atomic<uint64_t> NonMonotonic{0};
 
   {
-    // Each long-running reader task occupies one pool worker until Stop.
-    support::ThreadPool Pool(Readers);
+    // Each long-running reader task occupies one pool worker until Stop. A
+    // pool of size N has N - 1 workers (the caller is the Nth in
+    // parallelFor), so Readers readers need size Readers + 1.
+    support::ThreadPool Pool(Readers + 1);
     for (unsigned R = 0; R < Readers; ++R)
       Pool.submit([&] {
+        Started.fetch_add(1, std::memory_order_acq_rel);
         ExpertRegistry::ReaderEpoch Reader;
         uint64_t LastVersion = 0;
         while (!Stop.load(std::memory_order_acquire)) {
@@ -122,6 +128,17 @@ TEST(LifecycleChaosTest, PublishHammerKeepsReadersConsistent) {
             ++TornSnapshots;
         }
       });
+
+    // Publish only once every reader runs, so all of them hammer; an
+    // undersized pool leaves one queued and fails here instead of quietly
+    // testing fewer readers.
+    const auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (Started.load(std::memory_order_acquire) < Readers &&
+           std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::yield();
+    EXPECT_EQ(Started.load(std::memory_order_acquire), Readers)
+        << "readers still queued when publication began";
 
     for (int P = 2; P <= Publications; ++P)
       Registry->publish(P % 2 == 1 ? SetA : SetB, Scaler, nullptr);

@@ -187,51 +187,72 @@ LinearModel randomModel(Rng &Gen, size_t Dim, const FeatureScaler *Shared) {
   return *Model;
 }
 
-} // namespace
-
-TEST(LinearBankTest, ScoresMatchPredictBitwise) {
-  // Every lane of every width must reproduce its model's predict() bit
-  // for bit: same operations, same order, intercept last.
-  Rng Gen(0xB4A7);
-  std::vector<Vec> Corpus;
-  for (int I = 0; I < 100; ++I) {
+/// Packs \p K (thread, environment) pairs of random models into a bank and
+/// hands every lane's scores, with the models, to \p Check over 200 random
+/// probes. \p Scaler picks each model's scaler (null: its own fit).
+template <typename CheckFn>
+void probeBank(Rng &Gen, size_t K, const FeatureScaler *Scaler,
+               CheckFn Check) {
+  std::vector<LinearModel> Thread, Env;
+  for (size_t L = 0; L < K; ++L) {
+    Thread.push_back(randomModel(Gen, 10, Scaler));
+    Env.push_back(randomModel(Gen, 10, Scaler));
+  }
+  std::vector<const LinearModel *> ThreadPtrs, EnvPtrs;
+  for (size_t L = 0; L < K; ++L) {
+    ThreadPtrs.push_back(&Thread[L]);
+    EnvPtrs.push_back(&Env[L]);
+  }
+  LinearBank<10> Bank;
+  ASSERT_TRUE(Bank.pack(ThreadPtrs.data(), EnvPtrs.data(), K));
+  ASSERT_EQ(Bank.lanes(), K);
+  double ThreadOut[LinearBank<10>::MaxLanes];
+  double EnvOut[LinearBank<10>::MaxLanes];
+  for (int Probe = 0; Probe < 200; ++Probe) {
     Vec X(10);
     for (double &V : X)
-      V = Gen.uniform(-5.0, 20.0);
-    Corpus.push_back(X);
-  }
-  const FeatureScaler Shared = FeatureScaler::fit(Corpus);
-  for (size_t K = 1; K <= LinearBank<10>::MaxLanes; ++K) {
-    std::vector<LinearModel> Thread, Env;
+      V = Gen.uniform(-50.0, 80.0);
+    Bank.score(X.data(), ThreadOut, EnvOut);
     for (size_t L = 0; L < K; ++L) {
-      Thread.push_back(randomModel(Gen, 10, &Shared));
-      Env.push_back(randomModel(Gen, 10, nullptr));
-    }
-    std::vector<const LinearModel *> ThreadPtrs, EnvPtrs;
-    for (size_t L = 0; L < K; ++L) {
-      ThreadPtrs.push_back(&Thread[L]);
-      EnvPtrs.push_back(&Env[L]);
-    }
-    LinearBank<10> Bank;
-    ASSERT_TRUE(Bank.pack(ThreadPtrs.data(), EnvPtrs.data(), K));
-    ASSERT_EQ(Bank.lanes(), K);
-    double ThreadOut[LinearBank<10>::MaxLanes];
-    double EnvOut[LinearBank<10>::MaxLanes];
-    for (int Probe = 0; Probe < 200; ++Probe) {
-      Vec X(10);
-      for (double &V : X)
-        V = Gen.uniform(-50.0, 80.0);
-      Bank.score(X.data(), ThreadOut, EnvOut);
-      for (size_t L = 0; L < K; ++L) {
-        const double WantThread = Thread[L].predict(X);
-        const double WantEnv = Env[L].predict(X);
-        ASSERT_EQ(std::memcmp(&ThreadOut[L], &WantThread, sizeof(double)), 0)
-            << "K=" << K << " lane " << L;
-        ASSERT_EQ(std::memcmp(&EnvOut[L], &WantEnv, sizeof(double)), 0)
-            << "K=" << K << " lane " << L;
-      }
+      SCOPED_TRACE("K=" + std::to_string(K) + " lane " + std::to_string(L));
+      Check(Thread[L], X, ThreadOut[L]);
+      Check(Env[L], X, EnvOut[L]);
+      if (::testing::Test::HasFailure())
+        return; // One report per broken width, not one per probe.
     }
   }
+}
+
+} // namespace
+
+TEST(LinearBankTest, FoldedScoresStayWithinBoundOfPredict) {
+  // Every model fits its own scaler, which pack() folds into its weights:
+  // each lane of every width stays within 1e-12 of the summed magnitude of
+  // predict()'s terms, |b| + sum |w (x - mu) / sigma|.
+  Rng Gen(0xB4A7);
+  for (size_t K = 1; K <= LinearBank<10>::MaxLanes; ++K)
+    probeBank(Gen, K, nullptr,
+              [](const LinearModel &M, const Vec &X, double Got) {
+                double Magnitude = std::fabs(M.intercept());
+                for (size_t I = 0; I < X.size(); ++I)
+                  Magnitude += std::fabs(M.weights()[I] *
+                                         ((X[I] - M.scaler().means()[I]) /
+                                          M.scaler().scales()[I]));
+                EXPECT_NEAR(Got, M.predict(X), 1e-12 * Magnitude);
+              });
+}
+
+TEST(LinearBankTest, IdentityScalerFoldsBitwise) {
+  // With mu = 0 and sigma = 1 the fold is exact (w / 1 = w, b - 0 = b), so
+  // every lane does predict()'s operations in its order, bit for bit.
+  Rng Gen(0xB4A9);
+  const FeatureScaler Identity = FeatureScaler::identity(10);
+  for (size_t K = 1; K <= LinearBank<10>::MaxLanes; ++K)
+    probeBank(Gen, K, &Identity,
+              [](const LinearModel &M, const Vec &X, double Got) {
+                const double Want = M.predict(X);
+                EXPECT_EQ(std::memcmp(&Got, &Want, sizeof(double)), 0);
+              });
 }
 
 TEST(LinearBankTest, RefusesWhatItCannotPack) {
@@ -240,14 +261,18 @@ TEST(LinearBankTest, RefusesWhatItCannotPack) {
   LinearModel B = randomModel(Gen, 10, nullptr); // Its own thread scaler.
   LinearModel Narrow = randomModel(Gen, 3, nullptr);
   LinearBank<10> Bank;
+  // Thread models with different scalers pack: each lane folds its own.
   const LinearModel *Ok[] = {&A, &A};
-  ASSERT_TRUE(Bank.pack(Ok, Ok, 2));
-  // Refusal empties the bank, so no stale packing survives it.
   const LinearModel *Unshared[] = {&A, &B};
-  EXPECT_FALSE(Bank.pack(Unshared, Ok, 2));
-  EXPECT_EQ(Bank.lanes(), 0u);
+  EXPECT_TRUE(Bank.pack(Ok, Ok, 2));
+  EXPECT_TRUE(Bank.pack(Unshared, Ok, 2));
+  EXPECT_EQ(Bank.lanes(), 2u);
+  // Refusal empties the bank, so no stale packing survives it.
   const LinearModel *Wrong[] = {&Narrow};
   EXPECT_FALSE(Bank.pack(Wrong, Wrong, 1));
+  EXPECT_EQ(Bank.lanes(), 0u);
+  const LinearModel *NarrowEnv[] = {&A, &Narrow};
+  EXPECT_FALSE(Bank.pack(Ok, NarrowEnv, 2));
   std::vector<const LinearModel *> Nine(9, &A);
   EXPECT_FALSE(Bank.pack(Nine.data(), Nine.data(), 9));
   EXPECT_FALSE(Bank.pack(Ok, Ok, 0));
