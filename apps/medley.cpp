@@ -456,7 +456,6 @@ int cmdFleet(const Args &A) {
   Config.Seed = A.getUnsigned("seed", 0xF1EE7);
   Config.StormShards = A.getUnsigned("storm-shards", 0);
   Config.Policy = A.get("policy", "mixture");
-  Config.Memoize = A.has("memoize");
   Config.TenantMaxThreads = A.getUnsigned("tenant-threads", 8);
   Config.Jobs = A.getUnsigned("jobs", 0);
   if (Config.Shards == 0 || Config.Tenants == 0) {
@@ -467,7 +466,7 @@ int cmdFleet(const Args &A) {
   std::cout << "fleet: " << Config.Tenants << " tenants across "
             << Config.Shards << " shards, " << Config.Rounds << " rounds x "
             << Config.TicksPerRound << " ticks under '" << Config.Policy
-            << "'" << (Config.Memoize ? " (memoized)" : "") << "\n";
+            << "'\n";
 
   exp::FleetResult R = exp::runFleetScenario(Config);
 
@@ -536,8 +535,7 @@ void usage() {
          "canary rollout)\n"
          "  medley fleet   [--shards 16] [--tenants 10000] [--rounds 8]\n"
          "                 [--ticks 25] [--churn 0.01] [--storm-shards 0]\n"
-         "                 [--policy mixture] [--memoize] "
-         "[--tenant-threads 8]\n"
+         "                 [--policy mixture] [--tenant-threads 8]\n"
          "                 [--seed 62951] [--jobs N] [--per-shard]\n"
          "                 (sharded fleet scenario: deterministic aggregates"
          " at any --jobs;\n"

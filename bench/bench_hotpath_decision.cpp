@@ -92,22 +92,6 @@ std::vector<Vec> makeErrorStream(size_t N, uint64_t Seed) {
   return Errors;
 }
 
-/// A memo-friendly stream: the stream above with every feature vector
-/// repeated \p Repeat times in a row — the shape the fleet engine's
-/// environment epochs produce (long runs of bit-identical inputs). The
-/// pure-part memo hits on every repeat; the unmemoized policy recomputes.
-std::vector<policy::FeatureVector>
-makeRepeatStream(size_t N, uint64_t Seed, size_t Repeat) {
-  std::vector<policy::FeatureVector> Unique =
-      makeFeatureStream((N + Repeat - 1) / Repeat, Seed);
-  std::vector<policy::FeatureVector> Stream;
-  Stream.reserve(N);
-  for (const policy::FeatureVector &F : Unique)
-    for (size_t R = 0; R < Repeat && Stream.size() < N; ++R)
-      Stream.push_back(F);
-  return Stream;
-}
-
 /// A plausible 10-feature scaler so standardisation does real arithmetic
 /// (the identity scaler would undersell the transform cost).
 FeatureScaler benchScaler() {
@@ -421,47 +405,6 @@ int main(int Argc, char **Argv) {
             << padLeft(formatDouble(MixtureRate.OpsPerSec / 1e6, 2), 7)
             << " Mdecisions/s\n";
 
-  // The pure-part memo under a repeat-heavy stream (the fleet engine's
-  // epoch mechanism makes consecutive bit-identical features the common
-  // case). The decision sequences with the memo on and off must match
-  // exactly — the memo may only skip arithmetic that provably reproduces
-  // the same bits.
-  std::vector<policy::FeatureVector> RepeatStream =
-      makeRepeatStream(StreamLen, 0xDECADEULL, 8);
-  core::MixtureOptions MemoOptions;
-  MemoOptions.Memoize = true;
-  exp::PolicySet &Policies = exp::PolicySet::instance();
-  auto MemoOff = Policies.mixtureFactory(4, "regime")();
-  auto MemoOn = Policies.mixtureFactory(4, "regime", nullptr, MemoOptions)();
-  {
-    std::vector<unsigned> SeqOff, SeqOn;
-    SeqOff.reserve(RepeatStream.size());
-    SeqOn.reserve(RepeatStream.size());
-    for (const policy::FeatureVector &F : RepeatStream) {
-      SeqOff.push_back(MemoOff->select(F));
-      SeqOn.push_back(MemoOn->select(F));
-    }
-    if (SeqOff != SeqOn) {
-      std::cerr << "FAIL: memoized mixture diverged from the unmemoized "
-                   "decision sequence\n";
-      return 1;
-    }
-  }
-  Rate MemoOffRate = timeMixture(*MemoOff, RepeatStream, MixtureSweeps,
-                                 Checksum);
-  Rate MemoOnRate = timeMixture(*MemoOn, RepeatStream, MixtureSweeps,
-                                Checksum);
-  std::cout << "  " << padRight("mix repeat", 11) << "  "
-            << padLeft(formatDouble(MemoOffRate.NsPerOp, 1), 9)
-            << " ns/decision  "
-            << padLeft(formatDouble(MemoOffRate.OpsPerSec / 1e6, 2), 7)
-            << " Mdecisions/s\n";
-  std::cout << "  " << padRight("mix memo", 11) << "  "
-            << padLeft(formatDouble(MemoOnRate.NsPerOp, 1), 9)
-            << " ns/decision  "
-            << padLeft(formatDouble(MemoOnRate.OpsPerSec / 1e6, 2), 7)
-            << " Mdecisions/s  (bit-identical sequences)\n";
-
   Rate TickRate = timeTickLoop(TickRuns, Checksum);
   std::cout << "  " << padRight("sim loop", 11) << "  "
             << padLeft(formatDouble(TickRate.NsPerOp, 1), 9) << " ns/tick      "
@@ -519,10 +462,6 @@ int main(int Argc, char **Argv) {
   Json << "  },\n"
        << "  \"mixture\": {\"ns_per_decision\": " << MixtureRate.NsPerOp
        << ", \"decisions_per_sec\": " << MixtureRate.OpsPerSec << "},\n"
-       << "  \"mixture_repeat\": {\"ns_per_decision\": " << MemoOffRate.NsPerOp
-       << ", \"decisions_per_sec\": " << MemoOffRate.OpsPerSec << "},\n"
-       << "  \"mixture_memoized\": {\"ns_per_decision\": " << MemoOnRate.NsPerOp
-       << ", \"decisions_per_sec\": " << MemoOnRate.OpsPerSec << "},\n"
        << "  \"sim_loop\": {\"ns_per_tick\": " << TickRate.NsPerOp
        << ", \"ticks_per_sec\": " << TickRate.OpsPerSec
        << ", \"allocs_per_steady_tick\": " << TickAllocs << "},\n"

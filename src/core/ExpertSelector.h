@@ -10,13 +10,15 @@
 /// the partition from one signal only: which expert's environment
 /// prediction from the previous decision came closest to the realised
 /// environment ("we only use data from the last timestep to update the
-/// model"). Two implementations are provided:
+/// model"). Among the implementations:
 ///   * HyperplaneSelector — the paper's formulation: ordered boundaries
 ///     S^1 < ... < S^{K-1} over the feature space, each moved toward
 ///     misclassified points;
 ///   * PerceptronSelector — K linear scoring functions updated with the
-///     multiclass perceptron rule (the default; same signal, more robust
-///     in 10 dimensions).
+///     multiclass perceptron rule (same signal, more robust in 10
+///     dimensions);
+///   * RegimeSelector — the default: the machine regime picks the
+///     candidate experts, recent environment accuracy ranks them.
 /// A seeded RandomSelector serves as an ablation control.
 ///
 //===----------------------------------------------------------------------===//

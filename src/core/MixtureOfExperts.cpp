@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 using namespace medley;
 using namespace medley::core;
@@ -33,8 +32,6 @@ MixtureOfExperts::MixtureOfExperts(
 void MixtureOfExperts::bindExpertViews() {
   const size_t K = Experts->size();
   AnyEnvObserver = false;
-  // New models produce new bits for the same features; drop the memo.
-  MemoValid = false;
   PendingEnvPredictions.resize(K);
   ScratchErrors.resize(K);
   ScratchThreadPreds.resize(K);
@@ -87,9 +84,9 @@ MixtureOfExperts::expertThreads(size_t K,
 }
 
 void MixtureOfExperts::stashPending(const policy::FeatureVector &Features,
-                                    size_t Chosen, bool HaveEnvPredictions) {
+                                    size_t Chosen) {
   PendingFeatures = Features.Values;
-  if (!HaveEnvPredictions)
+  if (!Bank.lanes())
     for (size_t K = 0; K < Experts->size(); ++K)
       PendingEnvPredictions[K] = (*Experts)[K].predictEnvNorm(Features);
   PendingChosen = Chosen;
@@ -133,16 +130,6 @@ void MixtureOfExperts::judgePreviousDecision(
 }
 
 unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
-  // Pure-part memo probe (before the judge runs: the judge only updates
-  // the selector, never the cached pure computations). A hit means the
-  // previous decision saw these exact feature bits, so its scores are
-  // bitwise reusable; gating and adaptation below still run in full.
-  const bool MemoHit =
-      Options.Memoize && MemoValid &&
-      Features.Values.size() == policy::NumFeatures &&
-      std::memcmp(MemoKey.data(), Features.Values.data(),
-                  sizeof(double) * policy::NumFeatures) == 0;
-
   judgePreviousDecision(Features);
 
   if (Options.Faults && Features.SanitizedCount > 0)
@@ -152,8 +139,7 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   // model (the judge above has already read the previous predictions).
   // The per-expert path below computes its environment predictions after
   // the thread predictions, in the order Expert's callbacks always ran.
-  const bool Banked = Bank.lanes() != 0;
-  if (Banked && !MemoHit) {
+  if (Bank.lanes()) {
     assert(Features.Values.size() == policy::NumFeatures &&
            "bank scoring needs the 10-feature vector");
     Bank.score(Features.Values.data(), RawThreads.data(),
@@ -162,7 +148,6 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
     for (size_t K = 0; K < Experts->size(); ++K)
       PendingEnvPredictions[K] = std::max(0.0, PendingEnvPredictions[K]);
   }
-  const bool HaveEnvPredictions = Banked || MemoHit;
 
   if (Selector->allQuarantined()) {
     // The ladder's floor: every expert's environment predictor has
@@ -174,8 +159,7 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
       ++Options.Faults->DefaultFallbacks;
     unsigned Threads =
         policy::roundThreads(Features.Values[4], Features.MaxThreads);
-    stashPending(Features, LastExpert, HaveEnvPredictions);
-    rememberMemoKey(Features);
+    stashPending(Features, LastExpert);
     return Threads;
   }
 
@@ -209,8 +193,7 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
 
   // Stash this decision's environment predictions; they are judged at the
   // next region, which is the paper's next timestamp.
-  stashPending(Features, Chosen, HaveEnvPredictions);
-  rememberMemoKey(Features);
+  stashPending(Features, Chosen);
 
   if (Stats) {
     ++Stats->SelectionCounts[Chosen];
@@ -226,20 +209,10 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   return Threads;
 }
 
-void MixtureOfExperts::rememberMemoKey(const policy::FeatureVector &Features) {
-  if (!Options.Memoize)
-    return;
-  MemoValid = Features.Values.size() == policy::NumFeatures;
-  if (MemoValid)
-    std::memcpy(MemoKey.data(), Features.Values.data(),
-                sizeof(double) * policy::NumFeatures);
-}
-
 void MixtureOfExperts::reset() {
   Selector->reset();
   HasPending = false;
   LastExpert = 0;
-  MemoValid = false;
 }
 
 const std::string &MixtureOfExperts::name() const {

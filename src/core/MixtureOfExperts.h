@@ -49,17 +49,6 @@ struct MixtureOptions {
   /// fallbacks under full quarantine and sanitized feature values. Must
   /// outlive the policy instance.
   support::FaultStats *Faults = nullptr;
-
-  /// Pure-part decision memoization (ROADMAP item 5): when consecutive
-  /// decisions arrive with bit-identical feature vectors — which the fleet
-  /// engine's environment epochs make the common case — the expensive
-  /// pure computations (the experts' environment predictions and, for
-  /// banked linear experts, their thread scores) are reused from the
-  /// previous decision instead of recomputed. Selector adaptation (the
-  /// judge update) and gating still run on every decision, so the emitted
-  /// decision sequence is bit-identical with the memo on or off; only the
-  /// arithmetic that provably reproduces the same bits is skipped.
-  bool Memoize = false;
 };
 
 /// Mixture-of-experts thread-selection policy.
@@ -110,15 +99,10 @@ private:
   unsigned expertThreads(size_t K, const policy::FeatureVector &Features) const;
 
   /// Arms the judgement of this decision's per-expert environment
-  /// predictions at the next call. \p HaveEnvPredictions says
-  /// PendingEnvPredictions already holds them for these features (filled
-  /// by the bank, or kept from a memo hit); otherwise they are computed
-  /// expert by expert here.
-  void stashPending(const policy::FeatureVector &Features, size_t Chosen,
-                    bool HaveEnvPredictions);
-
-  /// Pins the memo to this decision's feature bits after it completes.
-  void rememberMemoKey(const policy::FeatureVector &Features);
+  /// predictions at the next call. When banked, the bank has already
+  /// filled PendingEnvPredictions for these features; otherwise they are
+  /// computed expert by expert here.
+  void stashPending(const policy::FeatureVector &Features, size_t Chosen);
 
   using ExpertBank = LinearBank<policy::NumFeatures>;
 
@@ -153,14 +137,6 @@ private:
   /// Any expert with an online environment-learning hook? When false the
   /// per-decision observeEnvironment fan-out is a guaranteed no-op.
   bool AnyEnvObserver = false;
-
-  /// Pure-part memo state (MixtureOptions::Memoize): MemoKey holds the
-  /// feature values of the previous decision; when the next decision's
-  /// values match bitwise, PendingEnvPredictions (and, with a bank,
-  /// RawThreads) still hold exactly what recomputation would produce.
-  /// Invalidated by reset() and by expert rebinds (new models, new bits).
-  bool MemoValid = false;
-  std::array<double, policy::NumFeatures> MemoKey{};
 };
 
 } // namespace medley::core

@@ -20,7 +20,7 @@
 using namespace medley;
 using namespace medley::exp;
 
-/// Per-shard policy plumbing. The policy instance, its memo-aware chooser,
+/// Per-shard policy plumbing. The policy instance, its chooser,
 /// and the decision log every decision appends to — all touched only by
 /// the shard's worker during a run. Tenants reach the chooser through a
 /// closure holding only the Binding's address, which std::function stores
@@ -107,17 +107,8 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
   for (const workload::ProgramSpec &Spec : workload::Catalog::allPrograms())
     Specs->push_back(std::make_shared<const workload::ProgramSpec>(Spec));
 
-  // Per-shard policy instances. The factory is resolved once; mixture
-  // instances get the pure-part memo when the scenario memoizes.
-  PolicySet &Policies = PolicySet::instance();
-  policy::PolicyFactory Factory;
-  if (Config.Policy == "mixture" && Config.Memoize) {
-    core::MixtureOptions Options;
-    Options.Memoize = true;
-    Factory = Policies.mixtureFactory(4, "regime", nullptr, Options);
-  } else {
-    Factory = Policies.factory(Config.Policy);
-  }
+  // Per-shard policy instances from a factory resolved once.
+  policy::PolicyFactory Factory = PolicySet::instance().factory(Config.Policy);
 
   Bindings = std::make_shared<std::vector<Binding>>();
   Bindings->reserve(Config.Shards);
@@ -131,9 +122,7 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
   // so storage must be final.
   for (unsigned S = 0; S < Config.Shards; ++S) {
     Binding &B = (*Bindings)[S];
-    runtime::BindOptions Options;
-    Options.Memoize = Config.Memoize;
-    B.Chooser = runtime::bindPolicy(*B.Policy, Cores, Options);
+    B.Chooser = runtime::bindPolicy(*B.Policy, Cores);
     B.Observer = runtime::bindObserver(*B.Policy);
   }
 

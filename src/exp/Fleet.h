@@ -8,8 +8,8 @@
 /// Assembles sim::FleetEngine into the runnable fleet scenario (DESIGN.md
 /// §16): tenant catalog drawn from the workload catalog's program specs
 /// (shared, not copied, across tens of thousands of tenants), a per-shard
-/// policy instance bound through runtime::bindPolicy with optional decision
-/// memoization, per-round migration/departure churn with bursty arrivals,
+/// policy instance bound through runtime::bindPolicy, per-round
+/// migration/departure churn with bursty arrivals,
 /// and unplug-storm fault plans confined to a leading subset of shards.
 ///
 /// Results split cleanly into a deterministic half (tick counts, arrival /
@@ -56,11 +56,6 @@ struct FleetScenarioConfig {
   /// Policy driving every tenant ("default", "online", "offline",
   /// "analytic", "mixture"); each shard gets its own instance.
   std::string Policy = "mixture";
-
-  /// Decision memoization: BindOptions::Memoize on every shard binding
-  /// and, for the mixture, MixtureOptions::Memoize. Decision sequences
-  /// are bit-identical either way.
-  bool Memoize = false;
 
   /// Thread-count ceiling per tenant (fleet tenants are small jobs, not
   /// whole-machine programs).
@@ -130,7 +125,7 @@ private:
 
   FleetScenarioConfig Config;
   std::unique_ptr<sim::FleetEngine> Engine;
-  /// Per-shard policy instance + memo-aware chooser + decision log; index
+  /// Per-shard policy instance + chooser + decision log; index
   /// = shard id. Stable storage: choosers hold references into it.
   std::shared_ptr<std::vector<Binding>> Bindings;
   /// Token → tenant mapping, shared between seeding and the engine's

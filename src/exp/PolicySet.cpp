@@ -106,13 +106,12 @@ PolicySet::selectorPrototype(unsigned NumExperts,
 
 policy::PolicyFactory
 PolicySet::mixtureFactory(unsigned NumExperts, const std::string &SelectorKind,
-                          std::shared_ptr<core::MoeStats> Stats,
-                          core::MixtureOptions Options) {
+                          std::shared_ptr<core::MoeStats> Stats) {
   auto Experts = experts(NumExperts);
   auto Prototype = selectorPrototype(NumExperts, SelectorKind);
-  return [Experts, Prototype, Stats, Options]() {
+  return [Experts, Prototype, Stats]() {
     return std::make_unique<core::MixtureOfExperts>(
-        Experts, Prototype->clone(), Stats, Options);
+        Experts, Prototype->clone(), Stats);
   };
 }
 

@@ -47,12 +47,10 @@ public:
 
   /// Mixture factory with explicit granularity and selector kind
   /// ("regime", "accuracy", "binned", "perceptron", "hyperplane", "random"). \p Stats, if given, is shared
-  /// by every instance the factory creates. \p Options configures each
-  /// instance (e.g. pure-part memoization for fleet-scale hot paths).
+  /// by every instance the factory creates.
   policy::PolicyFactory
   mixtureFactory(unsigned NumExperts, const std::string &SelectorKind,
-                 std::shared_ptr<core::MoeStats> Stats = nullptr,
-                 core::MixtureOptions Options = {});
+                 std::shared_ptr<core::MoeStats> Stats = nullptr);
 
   /// Mixture factory wrapped in the degradation ladder: the selector is
   /// decorated with a QuarantineSelector, and the policy degrades to

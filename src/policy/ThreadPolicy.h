@@ -43,12 +43,9 @@ public:
 
   /// True when select() is a pure function of the feature vector: no
   /// adaptation state read or written, no randomness, no external snapshot
-  /// swaps at epoch boundaries. The runtime's decision memo may then reuse
-  /// a prior decision outright (skipping select()) whenever it can prove
-  /// the features are bit-identical; for impure policies it may only skip
-  /// feature assembly, never the select() call — skipping one would starve
-  /// the policy's internal adaptation and change later decisions. Default:
-  /// false (the conservative answer is always correct).
+  /// swaps at epoch boundaries, so a caller may reuse an earlier decision
+  /// for bit-identical features. Default: false (the conservative answer
+  /// is always correct).
   virtual bool decisionsArePure() const { return false; }
 
   /// Rewinds adaptation state for a fresh run.

@@ -84,9 +84,7 @@ medley::runtime::runCoExecution(const CoExecutionConfig &Config,
   // Target program driven by its policy.
   auto Target = std::make_shared<workload::Program>(
       TargetSpec,
-      bindPolicy(TargetPolicy, TotalCores,
-                 BindOptions{Config.MemoizeDecisions,
-                             &Result.TargetDecisions}),
+      bindPolicy(TargetPolicy, TotalCores, &Result.TargetDecisions),
       TotalCores, /*Looping=*/false);
   Target->setRegionObserver(bindObserver(TargetPolicy));
   Simulation.addTask(Target);
@@ -103,8 +101,7 @@ medley::runtime::runCoExecution(const CoExecutionConfig &Config,
     if (Setup.Chooser) {
       Chooser = std::move(Setup.Chooser);
     } else if (Setup.Policy) {
-      Chooser = bindPolicy(*Setup.Policy, TotalCores,
-                           BindOptions{Config.MemoizeDecisions, nullptr});
+      Chooser = bindPolicy(*Setup.Policy, TotalCores);
     } else {
       StreamSeed = StreamSeed * 6364136223846793005ULL + 1442695040888963407ULL;
       Chooser = workload::ThreadPattern::makeChooser(

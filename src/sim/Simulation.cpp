@@ -7,13 +7,33 @@
 #include "sim/Simulation.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 using namespace medley;
 using namespace medley::sim;
+
+namespace {
+
+/// Low bits of CpuAllocation::Version counting one simulation's rate
+/// changes; the bits above hold a serial no other simulation shares.
+constexpr unsigned VersionCountBits = 24;
+
+/// The first version of a block no simulation in this process has used.
+uint64_t freshVersionBlock() {
+  static std::atomic<uint64_t> NextSerial{1};
+  return NextSerial.fetch_add(1, std::memory_order_relaxed)
+         << VersionCountBits;
+}
+
+bool bitsDiffer(double A, double B) {
+  return std::bit_cast<uint64_t>(A) != std::bit_cast<uint64_t>(B);
+}
+
+} // namespace
 
 Task::~Task() = default;
 
@@ -28,6 +48,7 @@ Simulation::Simulation(MachineConfig Config,
   assert(Tick > 0.0 && "tick must be positive");
   BaseAlloc.CoresPerSocket = Config.coresPerSocket();
   BaseAlloc.InterSocketSync = Config.InterSocketSync;
+  BaseAlloc.Version = freshVersionBlock();
 }
 
 void Simulation::addTask(std::shared_ptr<Task> T) {
@@ -108,6 +129,17 @@ void Simulation::recomputeTickState(unsigned Cores) {
   if (Config.AffinityBenefit > 0.0)
     MemFactor = 1.0 + (MemFactor - 1.0) * (1.0 - Config.AffinityBenefit);
 
+  // The rate fields CoresPerSocket and InterSocketSync are fixed for the
+  // simulation, so these three decide whether the version moves. Should
+  // the count run into the serial bits, the next version comes from a
+  // fresh block instead.
+  if (bitsDiffer(Share, BaseAlloc.CpuShare) ||
+      bitsDiffer(MemFactor, BaseAlloc.MemFactor) ||
+      bitsDiffer(BarrierFactor, BaseAlloc.BarrierFactor)) {
+    ++BaseAlloc.Version;
+    if ((BaseAlloc.Version & ((uint64_t{1} << VersionCountBits) - 1)) == 0)
+      BaseAlloc.Version = freshVersionBlock();
+  }
   BaseAlloc.CpuShare = Share;
   BaseAlloc.MemFactor = MemFactor;
   BaseAlloc.BarrierFactor = BarrierFactor;
@@ -142,25 +174,15 @@ void Simulation::step() {
 
   BaseAlloc.Now = Time;
 
-  // Environment epoch: the EnvSample handed to slow-path tasks below is a
-  // pure function of the monitor state (plus per-tick fault perturbation),
-  // so the epoch advances exactly when the monitor's change-version moved
-  // — or unconditionally under faults, whose seeded garbage is redrawn
-  // every tick. Equal epochs ⇒ bit-identical Env except WorkloadThreads.
-  if (Faults || Monitor.version() != EpochMonitorVersion) {
-    ++EnvEpoch;
-    EpochMonitorVersion = Monitor.version();
-  }
-  BaseAlloc.EnvEpoch = EnvEpoch;
-
   // Phase 1: every unfinished task attempts the steady fast path (advance
   // without reading the environment). Tasks that decline are staged in
-  // the tick arena and take the slow path below, in insertion order, so
+  // SlowTasks and take the slow path below, in insertion order, so
   // observer and decision callbacks fire in the same order as a loop that
   // stepped every task the slow way.
-  TickArena.reset();
   const size_t N = Table.slots();
-  uint32_t *Slow = N == 0 ? nullptr : TickArena.allocateArray<uint32_t>(N);
+  if (SlowTasks.size() < N)
+    SlowTasks.resize(N);
+  uint32_t *Slow = SlowTasks.data();
   size_t NumSlow = 0;
   for (size_t I = 0; I < N; ++I) {
     Task *T = Table.ptr(I);

@@ -16,7 +16,9 @@
 /// struct-of-arrays TaskTable whose generation counter lets the per-tick
 /// FP reductions (runnable threads, used memory, bandwidth demand — and
 /// the share/contention factors derived from them, including the pow())
-/// be reused verbatim across ticks where no column changed; processor
+/// be reused verbatim across ticks where no column changed, and a
+/// recomputation that moves a rate field gives the allocation a new
+/// version, on which tasks key their cached region rates; processor
 /// availability is queried only at pattern-declared change points; and
 /// the environment sample is taken lazily, only on ticks where some task
 /// takes the slow path (a fast-pathed task never reads its Env). With a
@@ -35,10 +37,11 @@
 #include "sim/SystemMonitor.h"
 #include "sim/Task.h"
 #include "sim/TaskTable.h"
-#include "support/Arena.h"
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 namespace medley::sim {
 
@@ -96,7 +99,8 @@ private:
   /// Recomputes the per-tick reductions and allocation scalars for
   /// \p Cores and the current table contents, caching them under the
   /// table generation. The accumulation order is insertion order, exactly
-  /// as an uncached tick would compute it.
+  /// as an uncached tick would compute it. Bumps BaseAlloc.Version when a
+  /// rate field changed bitwise.
   void recomputeTickState(unsigned Cores);
 
   MachineConfig Config;
@@ -109,9 +113,10 @@ private:
   TaskTable Table;
   std::vector<std::function<void(Simulation &)>> TickHooks;
 
-  /// Per-tick transients (the slow-path task list); reset each tick,
-  /// reaching zero heap traffic once at high-water capacity.
-  support::Arena TickArena;
+  /// Slot indices of the tasks taking this tick's slow path. Its size
+  /// only grows, to the table's slot high-water mark, so steady ticks
+  /// never allocate.
+  std::vector<uint32_t> SlowTasks;
 
   /// Availability cache: coresAt() is constant on [Time, NextCoresChange),
   /// per AvailabilityPattern::nextChangeAt. Unused while faults are
@@ -119,22 +124,14 @@ private:
   unsigned CachedCores = 0;
   double NextCoresChange = 0.0; ///< Sentinel set in ctor to force a query.
 
-  /// Environment epoch handed to tasks via CpuAllocation::EnvEpoch:
-  /// bumped whenever the monitor's observable state changed since the
-  /// epoch was last assigned, and on every tick while a fault injector is
-  /// installed (perturbEnv redraws seeded garbage each tick, so no two
-  /// faulted ticks may share an epoch).
-  uint64_t EnvEpoch = 0;
-  uint64_t EpochMonitorVersion = ~0ULL; ///< Sentinel: first tick bumps.
-
   /// Reduction cache, valid for (CacheGeneration, CacheCores).
   bool TickCacheValid = false;
   uint64_t CacheGeneration = 0;
   unsigned CacheCores = 0;
   unsigned CachedRunnable = 0;
   double CachedUsedMemory = 0.0;
-  /// Allocation handed to tasks; scalar fields refreshed with the
-  /// reduction cache, Now per tick, Env only on the slow path.
+  /// Allocation handed to tasks; scalar fields and Version refreshed with
+  /// the reduction cache, Now per tick, Env only on the slow path.
   CpuAllocation BaseAlloc;
 };
 

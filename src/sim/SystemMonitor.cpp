@@ -23,12 +23,6 @@ void SystemMonitor::update(unsigned NewRunnable, unsigned NewCores,
                            double NewUsedMemoryMb, double Dt) {
   assert(Dt > 0.0 && "tick length must be positive");
   double PreviousMemory = UsedMemoryMb;
-  double PreviousLoad1 = Load1.value();
-  double PreviousLoad5 = Load5.value();
-  double PreviousPageRate = PageRate;
-  bool HadMemorySample = HasMemorySample;
-  unsigned PreviousRunnable = RunnableThreads;
-  unsigned PreviousCores = AvailableCores;
 
   RunnableThreads = NewRunnable;
   AvailableCores = NewCores;
@@ -45,17 +39,6 @@ void SystemMonitor::update(unsigned NewRunnable, unsigned NewCores,
     PageRate = 0.8 * PageRate + 0.2 * std::min(Churn, 1.0);
   }
   HasMemorySample = true;
-
-  // Bitwise change detection (== on doubles is deliberate): under a
-  // constant runnable count the EMAs converge to exact fixed points, at
-  // which point updates stop bumping the version and downstream decision
-  // memos (keyed on the simulation's environment epoch) start hitting.
-  // medley-lint: allow(float-equality) — exact-fixed-point detection.
-  if (PreviousRunnable != RunnableThreads || PreviousCores != AvailableCores ||
-      PreviousMemory != UsedMemoryMb || PreviousLoad1 != Load1.value() ||
-      PreviousLoad5 != Load5.value() || PreviousPageRate != PageRate ||
-      !HadMemorySample)
-    ++Version;
 }
 
 EnvSample SystemMonitor::sample(unsigned ObserverThreads) const {
@@ -87,5 +70,4 @@ void SystemMonitor::reset() {
   UsedMemoryMb = 0.0;
   PageRate = 0.0;
   HasMemorySample = false;
-  ++Version; // Conservative: a rewind is always an observable change.
 }

@@ -52,16 +52,6 @@ public:
   /// Clears all counters back to their initial state.
   void reset();
 
-  /// Monotonic state-change counter: bumped by update()/reset() only when
-  /// some observable counter actually changed bitwise. Equal versions
-  /// therefore prove that sample() returns bit-identical EnvSamples
-  /// (modulo the observer-dependent WorkloadThreads field, which is a pure
-  /// function of runnable() and the observer) — the proof the decision
-  /// memo (DESIGN.md §16.3) builds its environment epoch from. The EMAs
-  /// reach exact floating-point fixed points under a constant load, so
-  /// the version really does go quiet on steady workloads.
-  uint64_t version() const { return Version; }
-
 private:
   MachineConfig Config;
   Ema Load1;
@@ -71,7 +61,6 @@ private:
   double UsedMemoryMb = 0.0;
   double PageRate = 0.0;
   bool HasMemorySample = false;
-  uint64_t Version = 0;
 };
 
 } // namespace medley::sim

@@ -16,6 +16,7 @@
 
 #include "sim/EnvSample.h"
 
+#include <cstdint>
 #include <string>
 
 namespace medley::sim {
@@ -50,13 +51,13 @@ struct CpuAllocation {
   /// Current simulated time at the start of the tick.
   double Now = 0.0;
 
-  /// Environment epoch: a counter the scheduler bumps whenever the fields
-  /// backing Env could have changed bitwise (monitor state change, fault
-  /// injection, core-count change). Two allocations with equal EnvEpoch
-  /// carry bit-identical Env contents except for the observer-dependent
-  /// WorkloadThreads field. Decision memoization (DESIGN.md §16.3) keys
-  /// on this to prove selector inputs unchanged without comparing them.
-  uint64_t EnvEpoch = 0;
+  /// Rate version: equal nonzero versions guarantee bit-identical
+  /// CpuShare, MemFactor, BarrierFactor, CoresPerSocket and
+  /// InterSocketSync, the fields a region's progress rate reads, so a
+  /// task may key a cached rate on it (DESIGN.md §13.1). The simulator
+  /// never repeats a version, not even across simulations; 0 marks a
+  /// hand-built allocation, whose rate is never cached.
+  uint64_t Version = 0;
 };
 
 /// Anything the simulated machine can run.

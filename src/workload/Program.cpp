@@ -73,32 +73,23 @@ void Program::startNextRegion(const sim::CpuAllocation &Allocation,
   Context.Env = Allocation.Env;
   Context.Now = Now;
   Context.MaxThreads = MaxThreads;
-  Context.EnvEpoch = Allocation.EnvEpoch;
 
   unsigned Chosen = Chooser(Context);
   CurrentThreads = std::clamp(Chosen, 1u, MaxThreads);
+  RegionWork = Context.Region->Work;
   RegionProgress = 0.0;
   RegionStart = Now;
   RegionActive = true;
 }
 
 double Program::cachedRegionRate(const sim::CpuAllocation &Allocation) {
-  if (!RateValid || RateRegionIndex != RegionIndex ||
-      RateThreads != CurrentThreads || RateShare != Allocation.CpuShare ||
-      RateMemFactor != Allocation.MemFactor ||
-      RateBarrierFactor != Allocation.BarrierFactor ||
-      RateCoresPerSocket != Allocation.CoresPerSocket ||
-      RateInterSocketSync != Allocation.InterSocketSync) {
+  if (Allocation.Version == 0 || RateVersion != Allocation.Version ||
+      RateRegionIndex != RegionIndex || RateThreads != CurrentThreads) {
     CachedRate =
         regionRate(Spec->Regions[RegionIndex], CurrentThreads, Allocation);
+    RateVersion = Allocation.Version;
     RateRegionIndex = RegionIndex;
     RateThreads = CurrentThreads;
-    RateShare = Allocation.CpuShare;
-    RateMemFactor = Allocation.MemFactor;
-    RateBarrierFactor = Allocation.BarrierFactor;
-    RateCoresPerSocket = Allocation.CoresPerSocket;
-    RateInterSocketSync = Allocation.InterSocketSync;
-    RateValid = true;
   }
   return CachedRate;
 }
@@ -112,10 +103,9 @@ bool Program::stepSteady(double Dt, const sim::CpuAllocation &Allocation) {
   // and lets the scheduler run the full step().
   if (Done || !RegionActive || !(Dt > 1e-12))
     return false;
-  const RegionSpec &Region = Spec->Regions[RegionIndex];
   double Rate = cachedRegionRate(Allocation);
   assert(Rate > 0.0 && "region cannot make progress");
-  double WorkLeft = Region.Work - RegionProgress;
+  double WorkLeft = RegionWork - RegionProgress;
   double TimeNeeded = WorkLeft / Rate;
   if (!(TimeNeeded > Dt))
     return false; // Region completes this tick: slow path.
@@ -137,7 +127,7 @@ void Program::step(double Dt, const sim::CpuAllocation &Allocation) {
     double Rate = cachedRegionRate(Allocation);
     assert(Rate > 0.0 && "region cannot make progress");
 
-    double WorkLeft = Region.Work - RegionProgress;
+    double WorkLeft = RegionWork - RegionProgress;
     double TimeNeeded = WorkLeft / Rate;
     if (TimeNeeded > Remaining) {
       RegionProgress += Rate * Remaining;

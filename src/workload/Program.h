@@ -18,6 +18,7 @@
 
 #include "workload/Region.h"
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -51,11 +52,6 @@ struct RegionContext {
   sim::EnvSample Env;    ///< Environment as seen by this program.
   double Now = 0.0;      ///< Simulated time.
   unsigned MaxThreads = 1; ///< Upper clamp (machine core count).
-
-  /// The scheduler's environment epoch (CpuAllocation::EnvEpoch) at the
-  /// decision: equal epochs prove Env is bit-identical apart from
-  /// WorkloadThreads. 0 for contexts built outside the simulator.
-  uint64_t EnvEpoch = 0;
 };
 
 /// Result of one completed region execution, fed back to policies.
@@ -126,10 +122,10 @@ private:
   void startNextRegion(const sim::CpuAllocation &Allocation, double Now);
 
   /// regionRate for the active region and current thread count under
-  /// \p Allocation, memoized on the full argument tuple. regionRate is a
-  /// pure function, so a hit returns exactly the bits a recomputation
-  /// would; across steady ticks (same share/contention factors) the whole
-  /// Amdahl/penalty evaluation collapses to a few compares.
+  /// \p Allocation, cached on (Allocation.Version, region, threads). Equal
+  /// nonzero versions carry bit-identical rate fields and regionRate is
+  /// pure, so a hit returns exactly the bits a recomputation would. A
+  /// version-0 allocation is always recomputed.
   double cachedRegionRate(const sim::CpuAllocation &Allocation);
 
   std::shared_ptr<const ProgramSpec> Spec;
@@ -142,6 +138,7 @@ private:
   size_t Iteration = 0;
   bool RegionActive = false;
   unsigned CurrentThreads = 1;
+  double RegionWork = 0.0; ///< Work of the active region, set at its start.
   double RegionProgress = 0.0;
   double RegionStart = 0.0;
   bool Done = false;
@@ -150,15 +147,11 @@ private:
   size_t RegionsExecuted = 0;
   double TotalWorkDone = 0.0;
 
-  /// cachedRegionRate memo (single entry): key + value.
-  bool RateValid = false;
+  /// cachedRegionRate's single entry: key + value. RateVersion 0 never
+  /// matches, so the entry starts empty.
+  uint64_t RateVersion = 0;
   size_t RateRegionIndex = 0;
   unsigned RateThreads = 0;
-  double RateShare = 0.0;
-  double RateMemFactor = 0.0;
-  double RateBarrierFactor = 0.0;
-  unsigned RateCoresPerSocket = 0;
-  double RateInterSocketSync = 0.0;
   double CachedRate = 0.0;
 };
 

@@ -649,8 +649,8 @@ std::unique_ptr<ExpertSelector> differentialSelector(const std::string &Kind,
 }
 
 /// Features in both regimes, under two machine sizes, with runs of
-/// bit-identical vectors (memo hits) and a burst of non-finite
-/// observations that quarantines every expert (the fallback path).
+/// bit-identical vectors and a burst of non-finite observations that
+/// quarantines every expert (the fallback path).
 std::vector<policy::FeatureVector> differentialStream() {
   Rng Gen(0xD1FF);
   std::vector<policy::FeatureVector> Stream;
@@ -678,12 +678,11 @@ struct DifferentialRun {
 
 DifferentialRun
 runDifferential(std::shared_ptr<const std::vector<Expert>> Experts,
-                const std::string &Kind, bool Memoize, bool SoftBlend) {
+                const std::string &Kind, bool SoftBlend) {
   const size_t K = Experts->size();
   auto Stats = std::make_shared<MoeStats>(K);
   support::FaultStats Faults;
   MixtureOptions Options;
-  Options.Memoize = Memoize;
   Options.SoftBlend = SoftBlend;
   Options.Faults = &Faults;
   MixtureOfExperts Mixture(Experts, differentialSelector(Kind, K), Stats,
@@ -715,32 +714,29 @@ TEST(MixtureTest, BankMatchesPerExpertPathBitwise) {
       auto Linear = builderShapedExperts(K, SharedThreadScaler);
       auto External = externalTwins(Linear);
       for (const std::string Kind : {"regime", "accuracy", "quarantine"})
-        for (bool Memoize : {false, true})
-          for (bool SoftBlend : {true, false}) {
-            SCOPED_TRACE("K=" + std::to_string(K) + " " + Kind +
-                         (SharedThreadScaler ? " shared" : " own") +
-                         (Memoize ? " memo" : "") +
-                         (SoftBlend ? " soft" : " hard"));
-            DifferentialRun Banked =
-                runDifferential(Linear, Kind, Memoize, SoftBlend);
-            DifferentialRun Reference =
-                runDifferential(External, Kind, Memoize, SoftBlend);
-            ASSERT_TRUE(Banked.Banked);
-            ASSERT_FALSE(Reference.Banked);
-            EXPECT_EQ(Banked.Threads, Reference.Threads);
-            EXPECT_EQ(Banked.Chosen, Reference.Chosen);
-            EXPECT_EQ(Banked.ExpertThreads, Reference.ExpertThreads);
-            EXPECT_EQ(Banked.SelectionCounts, Reference.SelectionCounts);
-            EXPECT_EQ(Banked.EnvAccurate, Reference.EnvAccurate);
-            EXPECT_EQ(Banked.Fallbacks, Reference.Fallbacks);
-            if (Kind == "quarantine") {
-              EXPECT_GT(Banked.Fallbacks, 0u) << "fallback path not exercised";
-            }
-            // The stream must exercise the rounding, not one clamped value.
-            std::set<unsigned> Distinct(Banked.Threads.begin(),
-                                        Banked.Threads.end());
-            EXPECT_GT(Distinct.size(), K == 1 ? 3u : 8u);
+        for (bool SoftBlend : {true, false}) {
+          SCOPED_TRACE("K=" + std::to_string(K) + " " + Kind +
+                       (SharedThreadScaler ? " shared" : " own") +
+                       (SoftBlend ? " soft" : " hard"));
+          DifferentialRun Banked = runDifferential(Linear, Kind, SoftBlend);
+          DifferentialRun Reference =
+              runDifferential(External, Kind, SoftBlend);
+          ASSERT_TRUE(Banked.Banked);
+          ASSERT_FALSE(Reference.Banked);
+          EXPECT_EQ(Banked.Threads, Reference.Threads);
+          EXPECT_EQ(Banked.Chosen, Reference.Chosen);
+          EXPECT_EQ(Banked.ExpertThreads, Reference.ExpertThreads);
+          EXPECT_EQ(Banked.SelectionCounts, Reference.SelectionCounts);
+          EXPECT_EQ(Banked.EnvAccurate, Reference.EnvAccurate);
+          EXPECT_EQ(Banked.Fallbacks, Reference.Fallbacks);
+          if (Kind == "quarantine") {
+            EXPECT_GT(Banked.Fallbacks, 0u) << "fallback path not exercised";
           }
+          // The stream must exercise the rounding, not one clamped value.
+          std::set<unsigned> Distinct(Banked.Threads.begin(),
+                                      Banked.Threads.end());
+          EXPECT_GT(Distinct.size(), K == 1 ? 3u : 8u);
+        }
     }
   }
 }

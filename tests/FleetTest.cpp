@@ -6,21 +6,18 @@
 //
 // The fleet suite (DESIGN.md §16): the sharded engine's deterministic
 // half — per-shard stats, decision counts and checksums, and the
-// two-level reduction — must be bit-identical at any worker count, any
-// shard→slot plan, and with decision memoization on or off; unplug
-// storms and sensor dropout confined to a leading subset of shards must
-// leave every healthy shard's results untouched. Plus unit coverage of
-// the fixed-bucket latency histogram the engine records into. Runs under
-// the `chaos` ctest label (`make chaos`), clean under ASan/TSan.
+// two-level reduction — must be bit-identical at any worker count and
+// any shard→slot plan; unplug storms and sensor dropout confined to a
+// leading subset of shards must leave every healthy shard's results
+// untouched. Plus unit coverage of the fixed-bucket latency histogram
+// the engine records into. Runs under the `chaos` ctest label (`make
+// chaos`), clean under ASan/TSan.
 //
 //===----------------------------------------------------------------------===//
 
 #include "exp/Fleet.h"
 #include "exp/PolicySet.h"
-#include "runtime/CoExecution.h"
-#include "sim/AvailabilityPattern.h"
 #include "support/Histogram.h"
-#include "workload/Catalog.h"
 
 #include <gtest/gtest.h>
 
@@ -152,7 +149,7 @@ TEST(LatencyHistogramTest, TailSaturatesIntoLastBucketAndReportsExactMax) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fleet determinism: jobs, placement, memoization
+// Fleet determinism: jobs, placement
 //===----------------------------------------------------------------------===//
 
 TEST(FleetDeterminismTest, BitIdenticalAcrossWorkerCounts) {
@@ -187,50 +184,6 @@ TEST(FleetDeterminismTest, InvariantUnderShardToSlotPlacement) {
   for (size_t I = 1; I < Results.size(); ++I)
     expectDeterministicHalvesEqual(Results[0], Results[I],
                                    "slots 1 vs " + std::to_string(I + 1));
-}
-
-TEST(FleetDeterminismTest, DecisionMemoizationIsBitIdentical) {
-  // The binding-level memo and the mixture's pure-part memo may only skip
-  // recomputation that provably reproduces the same bits: decisions and
-  // stats match exactly with the memo on and off.
-  FleetScenarioConfig Plain = smallFleet();
-  FleetScenarioConfig Memo = smallFleet();
-  Memo.Memoize = true;
-  FleetResult A = runFleetScenario(Plain);
-  FleetResult B = runFleetScenario(Memo);
-  EXPECT_GT(A.DecisionsTotal, 0u);
-  expectDeterministicHalvesEqual(A, B, "memo off vs on");
-}
-
-TEST(FleetDeterminismTest, CoExecutionMemoizationPreservesDecisions) {
-  // The same memo switch at the co-execution level: identical decision
-  // sequences (time, thread count, clamp) with MemoizeDecisions on/off.
-  runtime::CoExecutionConfig Config;
-  Config.Availability = [] {
-    return sim::PeriodicAvailability::standardLadder(32, 20.0, 42);
-  };
-  const workload::ProgramSpec &Target = workload::Catalog::byName("cg");
-  std::vector<std::string> Workload = {"bt", "is"};
-
-  auto runWith = [&](bool Memoize) {
-    Config.MemoizeDecisions = Memoize;
-    auto Policy = PolicySet::instance().factory("mixture")();
-    return runCoExecution(Config, Target, *Policy,
-                          runtime::patternWorkload(Workload));
-  };
-  runtime::CoExecutionResult Off = runWith(false);
-  runtime::CoExecutionResult On = runWith(true);
-  ASSERT_EQ(Off.TargetDecisions.size(), On.TargetDecisions.size());
-  ASSERT_GT(Off.TargetDecisions.size(), 0u);
-  for (size_t I = 0; I < Off.TargetDecisions.size(); ++I) {
-    EXPECT_EQ(Off.TargetDecisions[I].Threads, On.TargetDecisions[I].Threads)
-        << I;
-    EXPECT_DOUBLE_EQ(Off.TargetDecisions[I].Time, On.TargetDecisions[I].Time)
-        << I;
-    EXPECT_EQ(Off.TargetDecisions[I].Clamped, On.TargetDecisions[I].Clamped)
-        << I;
-  }
-  EXPECT_DOUBLE_EQ(Off.TargetTime, On.TargetTime);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1109,7 +1109,7 @@ TEST_F(SemanticCliTest, SarifCarriesCatalogRuleIndexAndFingerprints) {
     EXPECT_NE(Report.find("\"ruleIndex\""), std::string::npos) << Tree;
     EXPECT_NE(Report.find("\"partialFingerprints\""), std::string::npos)
         << Tree;
-    EXPECT_NE(Report.find("\"medleyLintKey/v1\""), std::string::npos) << Tree;
+    EXPECT_NE(Report.find("\"medleyLintKey/v2\""), std::string::npos) << Tree;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "sim/Machine.h"
 #include "sim/Simulation.h"
 #include "sim/SystemMonitor.h"
+#include "workload/Program.h"
 
 #include <gtest/gtest.h>
 
@@ -55,6 +56,22 @@ private:
   double WorkNeeded;
   bool Done = false;
 };
+
+/// A program whose single region never completes within a test, run with
+/// \p Threads threads on a 32-core clamp.
+std::shared_ptr<workload::Program> steadyProgram(unsigned Threads,
+                                                 double MemIntensity) {
+  workload::RegionSpec Region;
+  Region.Name = "steady";
+  Region.Work = 1e9;
+  Region.MemIntensity = MemIntensity;
+  workload::ProgramSpec Spec;
+  Spec.Name = "steady";
+  Spec.Regions = {Region};
+  return std::make_shared<workload::Program>(
+      Spec, [Threads](const workload::RegionContext &) { return Threads; },
+      32);
+}
 
 } // namespace
 
@@ -307,6 +324,67 @@ TEST(SimulationTest, MemoryContentionKicksInAboveBandwidth) {
               1e-9);
 }
 
+TEST(SimulationTest, MemoryBoundArrivalReachesSteadyProgram) {
+  // A tick on which only MemFactor moves: every thread fits the cores, so
+  // CpuShare and BarrierFactor hold at 1, and the arrival alone pushes the
+  // demand past the bandwidth. The running program must progress at its
+  // rate under the new allocation on that very tick.
+  MachineConfig M = MachineConfig::evaluationPlatform();
+  Simulation Sim(M, std::make_unique<StaticAvailability>(32));
+  auto Prog = steadyProgram(8, 0.8); // Demand 6.4, below the bandwidth.
+  Sim.addTask(Prog);
+  for (int I = 0; I < 3; ++I)
+    Sim.step(); // Region start, then steady ticks at MemFactor 1.
+
+  auto Hog = std::make_shared<StubTask>("hog", 4, 2.0 * M.MemoryBandwidth);
+  Sim.addTask(Hog);
+  double Before = Prog->workCompleted();
+  Sim.step();
+  const CpuAllocation &Now = Hog->LastAllocation;
+  ASSERT_DOUBLE_EQ(Now.CpuShare, 1.0);
+  ASSERT_DOUBLE_EQ(Now.BarrierFactor, 1.0);
+  ASSERT_GT(Now.MemFactor, 1.0);
+  double Rate = workload::regionRate(Prog->spec().Regions[0], 8, Now);
+  EXPECT_EQ(Prog->workCompleted(), Before + Rate * Sim.tick());
+}
+
+TEST(SimulationTest, MovedProgramTakesTheNewSimulationsRate) {
+  // Neither simulation's rate fields leave their initial values, so both
+  // have made the same number of rate changes: none. Only the machines'
+  // inter-socket cost differs, and a 16-thread team spans two sockets. A
+  // program moved from one to the other must run at the second one's rate
+  // on its first tick there.
+  MachineConfig First = MachineConfig::evaluationPlatform();
+  MachineConfig Second = First;
+  Second.InterSocketSync = 2.0 * First.InterSocketSync;
+  auto Prog = steadyProgram(16, 0.1); // Demand 1.6, below the bandwidth.
+
+  Simulation A(First, std::make_unique<StaticAvailability>(32));
+  auto ProbeA = std::make_shared<StubTask>("probe", 0);
+  A.addTask(ProbeA);
+  A.addTask(Prog);
+  for (int I = 0; I < 3; ++I)
+    A.step();
+  A.removeTask(Prog.get());
+
+  Simulation B(Second, std::make_unique<StaticAvailability>(32));
+  auto ProbeB = std::make_shared<StubTask>("probe", 0);
+  B.addTask(ProbeB);
+  B.addTask(Prog);
+  double Before = Prog->workCompleted();
+  B.step();
+
+  const CpuAllocation &Here = ProbeA->LastAllocation;
+  const CpuAllocation &There = ProbeB->LastAllocation;
+  ASSERT_DOUBLE_EQ(Here.CpuShare, There.CpuShare);
+  ASSERT_DOUBLE_EQ(Here.MemFactor, There.MemFactor);
+  ASSERT_DOUBLE_EQ(Here.BarrierFactor, There.BarrierFactor);
+  const workload::RegionSpec &Region = Prog->spec().Regions[0];
+  double Rate = workload::regionRate(Region, 16, There);
+  ASSERT_NE(Rate, workload::regionRate(Region, 16, Here));
+  EXPECT_EQ(Prog->workCompleted(), Before + Rate * B.tick());
+}
+
 TEST(SimulationTest, AffinityReducesMemoryPenalty) {
   MachineConfig Plain = MachineConfig::evaluationPlatform();
   MachineConfig Affine = Plain.withAffinity(0.5);
@@ -522,8 +600,17 @@ TEST(SystemMonitorTest, RecoversAfterZeroAvailableWindow) {
 }
 
 TEST(SimulationTest, ZeroCoreWindowGivesZeroShare) {
+  // A zero-core window is legal (a fault storm may unplug every core); a
+  // zero-core static machine is not. So an unplug storm covering the
+  // whole run opens the window.
   MachineConfig Machine = MachineConfig::evaluationPlatform();
-  Simulation Sim(Machine, std::make_unique<StaticAvailability>(0), 0.1);
+  FaultPlan Plan;
+  Plan.UnplugStorm.push_back({0.0, 10.0});
+  Plan.StormCores = 0;
+  Simulation Sim(Machine,
+                 std::make_unique<StaticAvailability>(Machine.TotalCores),
+                 0.1);
+  Sim.setFaultInjector(std::make_unique<FaultInjector>(Plan, 1));
   auto Task = std::make_shared<StubTask>("stalled", 4);
   Sim.addTask(Task);
   for (int I = 0; I < 20; ++I)

@@ -380,6 +380,32 @@ TEST(ProgramTest, MemoryDemandTracksCurrentRegionAndThreads) {
   EXPECT_NEAR(P.memoryDemand(), 4 * 0.5, 1e-12);
 }
 
+TEST(ProgramTest, HandBuiltAllocationsAreNeverCached) {
+  // Version 0 marks an allocation built outside the simulator. Two of them
+  // that differ only in CpuShare must each give the program its own rate.
+  ProgramSpec Spec;
+  Spec.Name = "hand";
+  Spec.Suite = "test";
+  RegionSpec R = simpleRegion();
+  R.Work = 1e9; // Never completes here: every tick after the first is steady.
+  Spec.Regions = {R};
+  Program P(Spec, fixedChooser(8), 32);
+  sim::CpuAllocation Full = idleAllocation();
+  sim::CpuAllocation Half = Full;
+  Half.CpuShare = 0.5;
+  ASSERT_EQ(Full.Version, 0u);
+  const double Dt = 0.1;
+
+  P.step(Dt, Full); // Starts the region.
+  double Work = P.workCompleted();
+  EXPECT_EQ(Work, regionRate(R, 8, Full) * Dt);
+  ASSERT_TRUE(P.stepSteady(Dt, Half));
+  EXPECT_EQ(P.workCompleted(), Work + regionRate(R, 8, Half) * Dt);
+  Work = P.workCompleted();
+  P.step(Dt, Full);
+  EXPECT_EQ(P.workCompleted(), Work + regionRate(R, 8, Full) * Dt);
+}
+
 //===----------------------------------------------------------------------===//
 // Thread patterns
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 
 #include "medley-lint/Cache.h"
 #include "medley-lint/Internal.h"
+#include "support/Fnv.h"
 
 #include <fstream>
 #include <sstream>
@@ -37,15 +38,6 @@ bool parseU64(const std::string &S, unsigned long long &Out) {
 
 } // namespace
 
-unsigned long long medley::lint::fnv1aHash(const std::string &Data) {
-  unsigned long long H = 1469598103934665603ULL;
-  for (char C : Data) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
 unsigned long long medley::lint::cacheFingerprint(const std::string &Salt) {
   std::string Ident = AnalyzerVersion;
   for (const RuleMeta &M : ruleCatalog()) {
@@ -58,7 +50,7 @@ unsigned long long medley::lint::cacheFingerprint(const std::string &Salt) {
   }
   Ident += '\n';
   Ident += Salt;
-  return fnv1aHash(Ident);
+  return support::fnv1aString(Ident);
 }
 
 void LintCache::load(const std::string &Path) {

@@ -23,9 +23,6 @@
 
 namespace medley::lint {
 
-/// 64-bit FNV-1a over the raw bytes.
-unsigned long long fnv1aHash(const std::string &Data);
-
 /// The analyzer-identity fingerprint folded into the cache header:
 /// FNV-1a over the analyzer version, the full rule catalog (ids, names,
 /// descriptions) and \p Salt. Content hashes alone cannot invalidate a

@@ -17,8 +17,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "medley-lint/Cache.h"
 #include "medley-lint/Internal.h"
+#include "support/Fnv.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -101,7 +101,8 @@ std::string medley::lint::renderSarif(const std::vector<Finding> &Findings) {
     const Finding &F = Sorted[I];
     char Fp[24];
     std::snprintf(Fp, sizeof(Fp), "%016llx",
-                  fnv1aHash(renderBaselineKey(F)));
+                  static_cast<unsigned long long>(
+                      support::fnv1aString(renderBaselineKey(F))));
     OS << (I ? ",\n" : "\n");
     OS << "        {\"ruleId\": \"" << jsonEscape(F.Rule) << "\"";
     auto RI = RuleIndex.find(F.Rule);
@@ -112,7 +113,7 @@ std::string medley::lint::renderSarif(const std::vector<Finding> &Findings) {
        << "\"physicalLocation\": {\"artifactLocation\": {\"uri\": \""
        << jsonEscape(F.File) << "\"}, \"region\": {\"startLine\": " << F.Line
        << ", \"startColumn\": " << F.Col
-       << "}}}], \"partialFingerprints\": {\"medleyLintKey/v1\": \"" << Fp
+       << "}}}], \"partialFingerprints\": {\"medleyLintKey/v2\": \"" << Fp
        << "\"}}";
   }
   OS << (Sorted.empty() ? "]\n" : "\n      ]\n");

@@ -8,6 +8,7 @@
 #include "medley-lint/Cache.h"
 #include "medley-lint/Internal.h"
 
+#include "support/Fnv.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -775,7 +776,7 @@ AnalyzeResult medley::lint::analyzeSources(const std::vector<SourceFile> &Files,
   support::ThreadPool Pool(Opts.Jobs);
   Pool.parallelFor(Files.size(), [&](size_t I) {
     const SourceFile &SF = Files[I];
-    Hashes[I] = fnv1aHash(SF.Source);
+    Hashes[I] = support::fnv1aString(SF.Source);
     CacheEntry Hit;
     if (Cache.lookup(SF.Path, Hashes[I], Hit)) {
       Results[I].Findings = std::move(Hit.TokenFindings);

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Configure, build and run the test suite under each sanitizer in a
-# sibling build tree (build-asan/, build-ubsan/, build-tsan/). Driven by
+# sibling build tree (build-asan/, build-ubsan/, build-tsan/); the UBSan
+# tree is a Debug build, so asserts run there. Driven by
 # `make sanitize-matrix`; also runnable directly. Pass ctest arguments
 # after `--` to narrow the run, e.g.
 #
@@ -25,8 +26,15 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 for ENTRY in address:build-asan undefined:build-ubsan thread:build-tsan; do
   SAN=${ENTRY%%:*}
   DIR=$SRC/${ENTRY#*:}
-  echo "== sanitize-matrix: $SAN ($DIR) =="
-  cmake -S "$SRC" -B "$DIR" -DMEDLEY_SANITIZE="$SAN" >/dev/null
+  # The default RelWithDebInfo build defines NDEBUG, so the undefined leg
+  # is a Debug build: the one leg that runs every assert.
+  TYPE=RelWithDebInfo
+  if [ "$SAN" = undefined ]; then
+    TYPE=Debug
+  fi
+  echo "== sanitize-matrix: $SAN, $TYPE ($DIR) =="
+  cmake -S "$SRC" -B "$DIR" -DMEDLEY_SANITIZE="$SAN" \
+    -DCMAKE_BUILD_TYPE="$TYPE" >/dev/null
   cmake --build "$DIR" -j "$JOBS"
   if [ -n "$CTEST_ARGS" ]; then
     # shellcheck disable=SC2086 # CTEST_ARGS is intentionally word-split.
