@@ -42,7 +42,9 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
 using namespace medley;
@@ -77,18 +79,38 @@ public:
     return It == Values.end() ? Default : It->second;
   }
 
-  unsigned getUnsigned(const std::string &Key, unsigned Default) const {
-    auto It = Values.find(Key);
-    return It == Values.end() ? Default
-                              : static_cast<unsigned>(std::stoul(It->second));
+  /// --Key as an integer in [Min, Max], or Default when absent. A value
+  /// that does not parse ends the program with an error, here and in the
+  /// getters below.
+  unsigned getUnsigned(const std::string &Key, unsigned Default,
+                       unsigned Min = 0,
+                       unsigned Max = std::numeric_limits<unsigned>::max())
+      const {
+    return has(Key) ? static_cast<unsigned>(
+                          parsed(Key, parseUnsigned(get(Key), Min, Max)))
+                    : Default;
+  }
+
+  /// A 64-bit seed, decimal or 0x-prefixed hexadecimal.
+  uint64_t getSeed(const std::string &Key, uint64_t Default) const {
+    return has(Key) ? parsed(Key, parseUnsigned(get(Key))) : Default;
   }
 
   double getDouble(const std::string &Key, double Default) const {
-    auto It = Values.find(Key);
-    return It == Values.end() ? Default : std::stod(It->second);
+    return has(Key) ? parsed(Key, parseDouble(get(Key))) : Default;
   }
 
 private:
+  template <class T>
+  T parsed(const std::string &Key, std::optional<T> Value) const {
+    if (!Value) {
+      std::cerr << "invalid value '" << get(Key) << "' for --" << Key
+                << '\n';
+      std::exit(1);
+    }
+    return *Value;
+  }
+
   std::map<std::string, std::string> Values;
   bool Ok = true;
 };
@@ -148,8 +170,10 @@ int cmdSpeedup(const Args &A) {
   }
 
   exp::DriverOptions Options;
-  Options.Repeats = A.getUnsigned("repeats", 3);
-  Options.Jobs = A.getUnsigned("jobs", 0); // 0 = MEDLEY_JOBS / hardware.
+  Options.Repeats = A.getUnsigned("repeats", 3, 1);
+  // 0 = MEDLEY_JOBS / hardware.
+  Options.Jobs =
+      A.getUnsigned("jobs", 0, 0, support::ThreadPool::maxSaneJobs());
   exp::Driver Driver(Options);
   exp::PolicySet &Policies = exp::PolicySet::instance();
   double S = Driver.speedup(Target, Policies.factory(Policy), Scen);
@@ -206,7 +230,7 @@ int cmdCoexec(const Args &A) {
   Config.Machine.TotalCores = Cores;
   Config.Machine.MemoryBandwidth = 0.45 * Cores;
   double Period = A.getDouble("period", 20.0);
-  uint64_t Seed = A.getUnsigned("seed", 42);
+  uint64_t Seed = A.getSeed("seed", 42);
   Config.Availability = [Cores, Period, Seed] {
     return sim::PeriodicAvailability::standardLadder(Cores, Period, Seed);
   };
@@ -323,8 +347,8 @@ int cmdExperts(const Args &A) {
     T.addRow();
     T.addCell(B.E.name());
     T.addCell(B.E.description());
-    T.addCell(static_cast<unsigned>(B.ThreadData.size()));
-    T.addCell(static_cast<unsigned>(B.EnvData.size()));
+    T.addCell(static_cast<unsigned>(B.ThreadSamples));
+    T.addCell(static_cast<unsigned>(B.EnvSamples));
     T.addCell(B.E.meanTrainingEnv());
     T.addCell(B.E.threadModel()->trainingR2());
     T.addCell(B.E.envModel()->trainingR2());
@@ -352,16 +376,13 @@ int cmdLifecycle(const Args &A) {
   Config.Machine.TotalCores = Cores;
   Config.Machine.MemoryBandwidth = 0.45 * Cores;
   double Period = A.getDouble("period", 20.0);
-  uint64_t Seed = A.getUnsigned("seed", 42);
+  uint64_t Seed = A.getSeed("seed", 42);
   Config.Availability = [Cores, Period, Seed] {
     return sim::PeriodicAvailability::standardLadder(Cores, Period, Seed);
   };
   Config.WorkloadSeed = Seed;
   Config.WorkloadMaxThreads = std::max(2u, Cores * 5 / 16);
   Config.RecordTraces = true;
-
-  exp::PolicySet &Policies = exp::PolicySet::instance();
-  auto Registry = Policies.liveRegistry();
 
   core::RolloutOptions Rollout;
   Rollout.ShadowWindow = A.getUnsigned("shadow-window", 128);
@@ -371,7 +392,11 @@ int cmdLifecycle(const Args &A) {
   Rollout.RollbackStrikes = A.getUnsigned("rollback-strikes", 3);
   Rollout.DivergenceFactor = A.getDouble("divergence-factor", 3.0);
   Rollout.AbsoluteErrorFloor = A.getDouble("error-floor", 0.5);
+  core::TrainerOptions TrainerOptions;
+  TrainerOptions.Window.Window = A.getUnsigned("retrain-window", 512);
 
+  exp::PolicySet &Policies = exp::PolicySet::instance();
+  auto Registry = Policies.liveRegistry();
   support::FaultStats Faults;
   auto Controller =
       std::make_shared<core::RolloutController>(Registry, Rollout, &Faults);
@@ -391,8 +416,6 @@ int cmdLifecycle(const Args &A) {
   // Background refit from the recorded window; the candidate lands in the
   // rollout mailbox through the thread-safe hand-off. The pool is drained
   // (dtor) before phase 2 so the demo stays deterministic.
-  core::TrainerOptions TrainerOptions;
-  TrainerOptions.Window.Window = A.getUnsigned("retrain-window", 512);
   core::ExpertTrainer Trainer(TrainerOptions);
   bool HaveCandidate = false;
   {
@@ -453,11 +476,12 @@ int cmdFleet(const Args &A) {
   Config.Rounds = A.getUnsigned("rounds", 8);
   Config.TicksPerRound = A.getUnsigned("ticks", 25);
   Config.ChurnRate = A.getDouble("churn", 0.01);
-  Config.Seed = A.getUnsigned("seed", 0xF1EE7);
+  Config.Seed = A.getSeed("seed", Config.Seed);
   Config.StormShards = A.getUnsigned("storm-shards", 0);
   Config.Policy = A.get("policy", "mixture");
   Config.TenantMaxThreads = A.getUnsigned("tenant-threads", 8);
-  Config.Jobs = A.getUnsigned("jobs", 0);
+  Config.Jobs =
+      A.getUnsigned("jobs", 0, 0, support::ThreadPool::maxSaneJobs());
   if (Config.Shards == 0 || Config.Tenants == 0) {
     std::cerr << "fleet needs at least one shard and one tenant\n";
     return 1;
@@ -536,7 +560,7 @@ void usage() {
          "  medley fleet   [--shards 16] [--tenants 10000] [--rounds 8]\n"
          "                 [--ticks 25] [--churn 0.01] [--storm-shards 0]\n"
          "                 [--policy mixture] [--tenant-threads 8]\n"
-         "                 [--seed 62951] [--jobs N] [--per-shard]\n"
+         "                 [--seed 0xF1EE7] [--jobs N] [--per-shard]\n"
          "                 (sharded fleet scenario: deterministic aggregates"
          " at any --jobs;\n"
          "                 --per-shard prints the per-shard breakdown)\n";

@@ -40,7 +40,8 @@ int main() {
 
   std::vector<std::vector<FeatureImpact>> PerExpert;
   for (const core::BuiltExpert &B : Built)
-    PerExpert.push_back(computeFeatureImpacts(B.ThreadData));
+    PerExpert.push_back(computeFeatureImpacts(
+        Policies.builder().trainingData(4, B).Threads));
 
   size_t NumFeatures = PerExpert.front().size();
   for (size_t F = 0; F < NumFeatures; ++F) {

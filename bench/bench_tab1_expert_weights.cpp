@@ -45,8 +45,8 @@ int main() {
 
   for (const core::BuiltExpert &B : Built)
     std::cout << B.E.name() << ": " << B.E.description() << " ("
-              << B.ThreadData.size() << " thread samples, "
-              << B.EnvData.size() << " environment samples)\n";
+              << B.ThreadSamples << " thread samples, " << B.EnvSamples
+              << " environment samples)\n";
   std::cout << '\n';
 
   // Table 1: weights in standardised feature space.

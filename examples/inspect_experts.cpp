@@ -45,19 +45,20 @@ int main() {
   Quality.addRow({"expert", "role", "samples", "w acc", "w R2", "m acc",
                   "m R2"});
   for (const core::BuiltExpert &B : Policies.builtExperts(4)) {
+    core::ExpertData Data = Builder.trainingData(4, B);
     AccuracyOptions Acc;
     Acc.RelativeTolerance = 0.25;
     Acc.AbsoluteTolerance = 2.0;
     Quality.addRow();
     Quality.addCell(B.E.name());
     Quality.addCell(B.E.description());
-    Quality.addCell(static_cast<unsigned>(B.ThreadData.size()));
-    Quality.addCell(leaveOneGroupOut(B.ThreadData, {}, Acc).Accuracy);
+    Quality.addCell(static_cast<unsigned>(B.ThreadSamples));
+    Quality.addCell(leaveOneGroupOut(Data.Threads, {}, Acc).Accuracy);
     Quality.addCell(B.E.threadModel()->trainingR2());
     AccuracyOptions EnvAcc;
     EnvAcc.RelativeTolerance = 0.2;
     EnvAcc.AbsoluteTolerance = 0.05;
-    Quality.addCell(leaveOneGroupOut(B.EnvData, {}, EnvAcc).Accuracy);
+    Quality.addCell(leaveOneGroupOut(Data.Envs, {}, EnvAcc).Accuracy);
     Quality.addCell(B.E.envModel()->trainingR2());
   }
   Quality.print(std::cout);

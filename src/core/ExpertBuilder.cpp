@@ -9,7 +9,6 @@
 #include "core/Oracle.h"
 #include "sim/Simulation.h"
 #include "support/Error.h"
-#include "support/Statistics.h"
 #include "workload/Catalog.h"
 #include "workload/ThreadPattern.h"
 
@@ -187,14 +186,38 @@ const std::vector<TrainingSample> &ExpertBuilder::samples() {
   return Samples;
 }
 
+namespace {
+
+/// The corpus samples at \p Indices as training rows labelled with their
+/// \p Target field, read in place.
+RowStream corpusRows(const std::vector<TrainingSample> &Corpus,
+                     const std::vector<size_t> &Indices,
+                     double TrainingSample::*Target) {
+  return {Indices.size(), policy::featureNames().size(),
+          [&Corpus, &Indices, Target](const RowVisitor &Visit) {
+            for (size_t I : Indices)
+              Visit(Corpus[I].Features, Corpus[I].*Target);
+          }};
+}
+
+/// The same rows copied into a dataset grouped by program.
+Dataset corpusDataset(const std::vector<TrainingSample> &Corpus,
+                      const std::vector<size_t> &Indices,
+                      double TrainingSample::*Target) {
+  Dataset Data(policy::featureNames());
+  for (size_t I : Indices)
+    Data.add(Corpus[I].Features, Corpus[I].*Target, Corpus[I].Program);
+  return Data;
+}
+
+} // namespace
+
 FeatureScaler ExpertBuilder::featureScaler() {
   collect();
   if (!HaveScaler) {
-    std::vector<Vec> Rows;
-    Rows.reserve(Samples.size());
-    for (const TrainingSample &S : Samples)
-      Rows.push_back(S.Features);
-    CorpusScaler = FeatureScaler::fit(Rows);
+    SplitRows All = splitRows(1, 0, 1, {});
+    CorpusScaler = FeatureScaler::fit(
+        corpusRows(Samples, All.Threads, &TrainingSample::BestThreads));
     HaveScaler = true;
   }
   return CorpusScaler;
@@ -228,7 +251,7 @@ size_t ExpertBuilder::expertIndexFor(const TrainingSample &Sample,
 
 std::vector<BuiltExpert> ExpertBuilder::build(unsigned NumExperts) {
   collect();
-  return buildFrom(NumExperts, Samples);
+  return buildFrom(NumExperts, 1);
 }
 
 std::vector<BuiltExpert> ExpertBuilder::buildSubsampled(unsigned NumExperts,
@@ -236,21 +259,11 @@ std::vector<BuiltExpert> ExpertBuilder::buildSubsampled(unsigned NumExperts,
   collect();
   if (Fraction <= 0.0 || Fraction > 1.0)
     reportFatalError("subsample fraction must be in (0, 1]");
-  size_t Stride = std::max<size_t>(1, std::lround(1.0 / Fraction));
-  std::vector<TrainingSample> Subset;
-  Subset.reserve(Samples.size() / Stride + 1);
-  for (size_t I = 0; I < Samples.size(); I += Stride)
-    Subset.push_back(Samples[I]);
-  return buildFrom(NumExperts, Subset);
+  return buildFrom(NumExperts,
+                   std::max<size_t>(1, std::lround(1.0 / Fraction)));
 }
 
-std::vector<BuiltExpert>
-ExpertBuilder::buildFrom(unsigned NumExperts,
-                         const std::vector<TrainingSample> &Corpus) {
-  if (NumExperts != 1 && NumExperts != 2 && NumExperts != 4 &&
-      NumExperts != 8)
-    reportFatalError("unsupported expert count (use 1, 2, 4 or 8)");
-
+std::vector<double> ExpertBuilder::bandEdges(unsigned NumExperts) const {
   // Scaling-quartile edges for the 8-expert split: divide the training
   // programs into 4 equal groups by their scalability fraction on the
   // split platform (Section 8.4's "further splitting ... based on scaling
@@ -270,17 +283,43 @@ ExpertBuilder::buildFrom(unsigned NumExperts,
       BandEdges.push_back(Fracs[Idx > 0 ? Idx - 1 : 0] + 1e-9);
     }
   }
+  return BandEdges;
+}
 
-  // Partition the corpus.
-  const std::vector<std::string> &Names = policy::featureNames();
-  std::vector<Dataset> ThreadData(NumExperts, Dataset(Names));
-  std::vector<Dataset> EnvData(NumExperts, Dataset(Names));
-  for (const TrainingSample &S : Corpus) {
-    size_t K = expertIndexFor(S, NumExperts, BandEdges);
-    ThreadData[K].add(S.Features, S.BestThreads, S.Program);
-    if (S.HasNextEnv)
-      EnvData[K].add(S.Features, S.NextEnvNorm, S.Program);
+ExpertBuilder::SplitRows
+ExpertBuilder::splitRows(unsigned NumExperts, size_t Split, size_t Stride,
+                         const std::vector<double> &BandEdges) const {
+  SplitRows Rows;
+  auto Pick = [&](auto Keep) {
+    Rows.Threads.clear();
+    Rows.Envs.clear();
+    for (size_t I = 0; I < Samples.size(); I += Stride) {
+      if (!Keep(Samples[I]))
+        continue;
+      Rows.Threads.push_back(I);
+      if (Samples[I].HasNextEnv)
+        Rows.Envs.push_back(I);
+    }
+  };
+  Pick([&](const TrainingSample &S) {
+    return expertIndexFor(S, NumExperts, BandEdges) == Split;
+  });
+  if (Rows.Threads.size() < 20) {
+    // Degenerate subset: fall back to the whole hardware-state half.
+    bool WantContended = NumExperts >= 2 && Split >= NumExperts / 2;
+    Pick([&](const TrainingSample &S) {
+      return NumExperts < 2 || S.Contended == WantContended;
+    });
   }
+  return Rows;
+}
+
+std::vector<BuiltExpert> ExpertBuilder::buildFrom(unsigned NumExperts,
+                                                  size_t Stride) {
+  if (NumExperts != 1 && NumExperts != 2 && NumExperts != 4 &&
+      NumExperts != 8)
+    reportFatalError("unsupported expert count (use 1, 2, 4 or 8)");
+  std::vector<double> BandEdges = bandEdges(NumExperts);
 
   auto describe = [&](size_t K) -> std::string {
     switch (NumExperts) {
@@ -314,37 +353,26 @@ ExpertBuilder::buildFrom(unsigned NumExperts,
   LinearModelOptions EnvOptions; // Ridge set per subset below.
   std::vector<BuiltExpert> Built;
   for (size_t K = 0; K < NumExperts; ++K) {
-    Dataset Threads = ThreadData[K];
-    Dataset Envs = EnvData[K];
-    if (Threads.size() < 20) {
-      // Degenerate subset: fall back to the whole hardware-state half.
-      bool WantContended = NumExperts >= 2 && K >= NumExperts / 2;
-      Threads = Dataset(Names);
-      Envs = Dataset(Names);
-      for (const TrainingSample &S : Corpus) {
-        if (NumExperts >= 2 && S.Contended != WantContended)
-          continue;
-        Threads.add(S.Features, S.BestThreads, S.Program);
-        if (S.HasNextEnv)
-          Envs.add(S.Features, S.NextEnvNorm, S.Program);
-      }
-    }
-
-    std::optional<LinearModel> W =
-        trainLinearModel(Threads, "w:" + describe(K), ThreadOptions);
+    SplitRows Rows = splitRows(NumExperts, K, Stride, BandEdges);
+    std::optional<LinearModel> W = trainLinearModel(
+        corpusRows(Samples, Rows.Threads, &TrainingSample::BestThreads),
+        "w:" + describe(K), ThreadOptions);
     EnvOptions.Ridge =
         std::max(1e-3, Config.EnvRidgeFraction *
-                           static_cast<double>(Envs.size()));
-    std::optional<LinearModel> M =
-        trainLinearModel(Envs, "m:" + describe(K), EnvOptions);
+                           static_cast<double>(Rows.Envs.size()));
+    std::optional<LinearModel> M = trainLinearModel(
+        corpusRows(Samples, Rows.Envs, &TrainingSample::NextEnvNorm),
+        "m:" + describe(K), EnvOptions);
     if (!W || !M)
       reportFatalError("failed to train expert '" + describe(K) + "'");
 
-    double MeanEnv = mean(Envs.targets());
-    BuiltExpert B{Expert("", describe(K), std::move(*W), std::move(*M),
-                         MeanEnv),
-                  std::move(Threads), std::move(Envs)};
-    Built.push_back(std::move(B));
+    double EnvSum = 0.0;
+    for (size_t I : Rows.Envs)
+      EnvSum += Samples[I].NextEnvNorm;
+    double MeanEnv = EnvSum / static_cast<double>(Rows.Envs.size());
+    Built.push_back(BuiltExpert{Expert("", describe(K), std::move(*W),
+                                       std::move(*M), MeanEnv),
+                                K, Rows.Threads.size(), Rows.Envs.size()});
   }
 
   // Order experts by the calmness of their training regime and name them
@@ -364,18 +392,25 @@ ExpertBuilder::buildFrom(unsigned NumExperts,
 
 LinearModel ExpertBuilder::monolithicThreadModel() {
   collect();
-  Dataset All(policy::featureNames());
-  for (const TrainingSample &S : Samples)
-    All.add(S.Features, S.BestThreads, S.Program);
   FeatureScaler Shared = featureScaler();
   LinearModelOptions Options;
   Options.Ridge = 1e-3;
   Options.SharedScaler = &Shared;
-  std::optional<LinearModel> Model =
-      trainLinearModel(All, "w:aggregate", Options);
+  SplitRows All = splitRows(1, 0, 1, {});
+  std::optional<LinearModel> Model = trainLinearModel(
+      corpusRows(Samples, All.Threads, &TrainingSample::BestThreads),
+      "w:aggregate", Options);
   if (!Model)
     reportFatalError("failed to train the aggregate model");
   return *Model;
+}
+
+ExpertData ExpertBuilder::trainingData(unsigned NumExperts,
+                                       const BuiltExpert &B) {
+  collect();
+  SplitRows Rows = splitRows(NumExperts, B.Split, 1, bandEdges(NumExperts));
+  return {corpusDataset(Samples, Rows.Threads, &TrainingSample::BestThreads),
+          corpusDataset(Samples, Rows.Envs, &TrainingSample::NextEnvNorm)};
 }
 
 std::vector<ScalabilityEntry> ExpertBuilder::scalabilityTable() {

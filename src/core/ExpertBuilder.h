@@ -79,12 +79,20 @@ struct TrainingSample {
   bool Contended = false;
 };
 
-/// An expert plus the data it was trained on (kept for the analysis
-/// figures: Table 1 weights, Figure 6 feature impact).
+/// An expert plus the sizes of its training sets (Table 1). The rows are
+/// not kept: ExpertBuilder::trainingData copies them out of the corpus
+/// again on request.
 struct BuiltExpert {
   Expert E;
-  Dataset ThreadData;
-  Dataset EnvData;
+  size_t Split = 0;         ///< Its subset of the split, before ordering.
+  size_t ThreadSamples = 0; ///< Rows its thread predictor w was fit on.
+  size_t EnvSamples = 0;    ///< Rows its environment predictor m was fit on.
+};
+
+/// One expert's training sets as datasets grouped by program.
+struct ExpertData {
+  Dataset Threads;
+  Dataset Envs;
 };
 
 /// Row of the Figure-5 training-split table.
@@ -127,6 +135,11 @@ public:
   /// union of all experts' data.
   LinearModel monolithicThreadModel();
 
+  /// The training sets of \p B, one of build(NumExperts)'s experts, copied
+  /// out of the corpus for analysis (Figure 6's feature impact,
+  /// leave-one-program-out accuracy).
+  ExpertData trainingData(unsigned NumExperts, const BuiltExpert &B);
+
   /// The Figure-5 split table.
   std::vector<ScalabilityEntry> scalabilityTable();
 
@@ -147,10 +160,24 @@ private:
   size_t expertIndexFor(const TrainingSample &Sample, unsigned NumExperts,
                         const std::vector<double> &BandEdges) const;
 
-  /// Shared implementation of build()/buildSubsampled().
-  std::vector<BuiltExpert>
-  buildFrom(unsigned NumExperts,
-            const std::vector<TrainingSample> &Corpus);
+  /// Scaling-quartile edges of the 8-expert split (empty otherwise).
+  std::vector<double> bandEdges(unsigned NumExperts) const;
+
+  /// Corpus indices of one expert's training sets.
+  struct SplitRows {
+    std::vector<size_t> Threads;
+    std::vector<size_t> Envs; ///< The thread rows that have a successor.
+  };
+
+  /// The rows subset \p Split of a \p NumExperts split trains on, taken
+  /// from every \p Stride-th sample. A subset too thin to fit falls back
+  /// to its whole hardware-state half; the 1-expert split is the corpus.
+  SplitRows splitRows(unsigned NumExperts, size_t Split, size_t Stride,
+                      const std::vector<double> &BandEdges) const;
+
+  /// Shared implementation of build()/buildSubsampled(): trains one expert
+  /// at a time, reading every \p Stride-th sample in place.
+  std::vector<BuiltExpert> buildFrom(unsigned NumExperts, size_t Stride);
 
   TrainingConfig Config;
   bool Collected = false;

@@ -38,7 +38,7 @@ public:
   /// Experts of granularity \p K (trained and cached on first use).
   std::shared_ptr<const std::vector<core::Expert>> experts(unsigned K);
 
-  /// The per-expert training datasets of granularity \p K.
+  /// The experts of granularity \p K with their training-set sizes.
   const std::vector<core::BuiltExpert> &builtExperts(unsigned K);
 
   /// Factory for one of the paper's policies: "default", "online",

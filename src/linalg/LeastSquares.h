@@ -11,6 +11,10 @@
 /// technique. A small ridge term is available as a fallback for degenerate
 /// training sets (e.g. constant features under leave-one-out splits).
 ///
+/// Fits read their rows in place through a RowStream: the ridge fit sums
+/// the normal equations one row at a time, so no fit copies its training
+/// set.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MEDLEY_LINALG_LEASTSQUARES_H
@@ -18,9 +22,31 @@
 
 #include "linalg/Matrix.h"
 
+#include <functional>
 #include <optional>
 
 namespace medley {
+
+/// Receives one row of a training set: its features and its target.
+using RowVisitor = std::function<void(const Vec &X, double Y)>;
+
+/// A training set read in place. ForEach visits the same Rows rows, each
+/// Features wide, in the same order on every call; fits make several
+/// passes over it. The row a visitor receives is only valid during the
+/// call.
+struct RowStream {
+  RowStream(size_t Rows, size_t Features,
+            std::function<void(const RowVisitor &)> ForEach)
+      : Rows(Rows), Features(Features), ForEach(std::move(ForEach)) {}
+
+  size_t Rows;
+  size_t Features;
+  std::function<void(const RowVisitor &)> ForEach;
+};
+
+/// Streams row I of \p X with target Y[I] (0.0 when \p Y is empty). Both
+/// must outlive the stream.
+RowStream streamRows(const std::vector<Vec> &X, const Vec &Y);
 
 /// Result of a least-squares fit: y ~= Weights . x + Intercept.
 struct LinearFit {
@@ -42,9 +68,14 @@ struct LeastSquaresOptions {
   bool FitIntercept = true;
 };
 
-/// Fits min ||X w - Y|| over rows of \p X. Returns std::nullopt when the
-/// problem is unsolvable (fewer samples than features and no ridge term, or
-/// a numerically singular system even after the ridge fallback).
+/// Fits min ||X w - Y|| over the rows of \p Rows. Returns std::nullopt when
+/// the problem is unsolvable (no rows, or a numerically singular system
+/// even after the ridge fallback).
+std::optional<LinearFit> fitLeastSquares(const RowStream &Rows,
+                                         LeastSquaresOptions Options = {});
+
+/// Fits over the rows of \p X; std::nullopt also when X and Y differ in
+/// length.
 std::optional<LinearFit> fitLeastSquares(const std::vector<Vec> &X,
                                          const Vec &Y,
                                          LeastSquaresOptions Options = {});

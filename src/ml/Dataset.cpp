@@ -65,12 +65,11 @@ Dataset::splitByGroup(const std::string &Group) const {
   return {In, Rest};
 }
 
-std::vector<Vec> Dataset::designMatrix() const {
-  std::vector<Vec> Rows;
-  Rows.reserve(Samples.size());
-  for (const Sample &S : Samples)
-    Rows.push_back(S.X);
-  return Rows;
+RowStream Dataset::rows() const {
+  return {Samples.size(), Names.size(), [this](const RowVisitor &Visit) {
+            for (const Sample &S : Samples)
+              Visit(S.X, S.Y);
+          }};
 }
 
 Vec Dataset::targets() const {

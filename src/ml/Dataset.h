@@ -16,7 +16,7 @@
 #ifndef MEDLEY_ML_DATASET_H
 #define MEDLEY_ML_DATASET_H
 
-#include "linalg/Vector.h"
+#include "linalg/LeastSquares.h"
 
 #include <functional>
 #include <string>
@@ -61,8 +61,9 @@ public:
   /// Splits into (samples whose group == \p Group, the rest).
   std::pair<Dataset, Dataset> splitByGroup(const std::string &Group) const;
 
-  /// Design-matrix view: all feature vectors.
-  std::vector<Vec> designMatrix() const;
+  /// The samples as (features, target) rows, read in place; the dataset
+  /// must outlive the stream.
+  RowStream rows() const;
 
   /// All targets.
   Vec targets() const;

@@ -28,32 +28,37 @@ FeatureScaler FeatureScaler::fromMoments(Vec Means, Vec Scales) {
   return S;
 }
 
-FeatureScaler FeatureScaler::fit(const std::vector<Vec> &Rows) {
-  assert(!Rows.empty() && "cannot fit a scaler on an empty dataset");
-  size_t N = Rows.front().size();
+FeatureScaler FeatureScaler::fit(const RowStream &Rows) {
+  assert(Rows.Rows > 0 && "cannot fit a scaler on an empty dataset");
+  size_t N = Rows.Features;
   FeatureScaler S;
   S.Means = Vec(N, 0.0);
   S.Scales = Vec(N, 1.0);
 
-  for (const Vec &Row : Rows) {
+  Rows.ForEach([&](const Vec &Row, double) {
     assert(Row.size() == N && "ragged rows");
     for (size_t I = 0; I < N; ++I)
       S.Means[I] += Row[I];
-  }
+  });
   for (size_t I = 0; I < N; ++I)
-    S.Means[I] /= static_cast<double>(Rows.size());
+    S.Means[I] /= static_cast<double>(Rows.Rows);
 
   Vec Var(N, 0.0);
-  for (const Vec &Row : Rows)
+  Rows.ForEach([&](const Vec &Row, double) {
     for (size_t I = 0; I < N; ++I) {
       double D = Row[I] - S.Means[I];
       Var[I] += D * D;
     }
+  });
   for (size_t I = 0; I < N; ++I) {
-    double Std = std::sqrt(Var[I] / static_cast<double>(Rows.size()));
+    double Std = std::sqrt(Var[I] / static_cast<double>(Rows.Rows));
     S.Scales[I] = Std > 1e-9 ? Std : 1.0;
   }
   return S;
+}
+
+FeatureScaler FeatureScaler::fit(const std::vector<Vec> &Rows) {
+  return fit(streamRows(Rows, {}));
 }
 
 Vec FeatureScaler::transform(const Vec &X) const {
@@ -68,12 +73,4 @@ void FeatureScaler::transformInto(const Vec &X, Vec &Out) const {
   Out.resize(X.size());
   for (size_t I = 0; I < X.size(); ++I)
     Out[I] = (X[I] - Means[I]) / Scales[I];
-}
-
-std::vector<Vec> FeatureScaler::transformAll(const std::vector<Vec> &Rows) const {
-  std::vector<Vec> Out;
-  Out.reserve(Rows.size());
-  for (const Vec &Row : Rows)
-    Out.push_back(transform(Row));
-  return Out;
 }

@@ -15,7 +15,7 @@
 #ifndef MEDLEY_ML_FEATURESCALER_H
 #define MEDLEY_ML_FEATURESCALER_H
 
-#include "linalg/Vector.h"
+#include "linalg/LeastSquares.h"
 
 namespace medley {
 
@@ -28,8 +28,10 @@ public:
   /// Rebuilds a scaler from stored moments (deserialisation).
   static FeatureScaler fromMoments(Vec Means, Vec Scales);
 
-  /// Fits per-feature mean and stddev over \p Rows. Features with (near)
-  /// zero variance are given unit scale so they pass through centred.
+  /// Fits per-feature mean and stddev over \p Rows in two passes, reading
+  /// the rows in place. Features with (near) zero variance are given unit
+  /// scale so they pass through centred.
+  static FeatureScaler fit(const RowStream &Rows);
   static FeatureScaler fit(const std::vector<Vec> &Rows);
 
   /// Standardises \p X.
@@ -38,9 +40,6 @@ public:
   /// Standardises \p X into \p Out without allocating (capacity reused
   /// across calls); bit-identical to transform(). Out must not alias X.
   void transformInto(const Vec &X, Vec &Out) const;
-
-  /// Applies transform to every row.
-  std::vector<Vec> transformAll(const std::vector<Vec> &Rows) const;
 
   size_t dimension() const { return Means.size(); }
   const Vec &means() const { return Means; }

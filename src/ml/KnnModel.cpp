@@ -21,7 +21,7 @@ std::optional<KnnModel> medley::trainKnnModel(const Dataset &Data,
   KnnModel Model;
   Model.Options = Options;
   Model.Name = Name;
-  Model.Scaler = FeatureScaler::fit(Data.designMatrix());
+  Model.Scaler = FeatureScaler::fit(Data.rows());
 
   // Deterministic stride subsampling keeps queries cheap on big corpora.
   size_t Stride =

@@ -107,29 +107,43 @@ void LinearModel::predictStandardizedMany(const LinearModel *const *Models,
 }
 
 std::optional<LinearModel>
-medley::trainLinearModel(const Dataset &Data, const std::string &Name,
+medley::trainLinearModel(const RowStream &Rows, const std::string &Name,
                          LinearModelOptions Options) {
-  if (Data.empty())
+  if (Rows.Rows == 0)
     return std::nullopt;
 
-  std::vector<Vec> X = Data.designMatrix();
   FeatureScaler Scaler;
   if (Options.SharedScaler) {
-    assert(Options.SharedScaler->dimension() == Data.numFeatures() &&
+    assert(Options.SharedScaler->dimension() == Rows.Features &&
            "shared scaler arity mismatch");
     Scaler = *Options.SharedScaler;
   } else if (Options.Standardize) {
-    Scaler = FeatureScaler::fit(X);
+    Scaler = FeatureScaler::fit(Rows);
   } else {
-    Scaler = FeatureScaler::identity(Data.numFeatures());
+    Scaler = FeatureScaler::identity(Rows.Features);
   }
-  std::vector<Vec> Scaled = Scaler.transformAll(X);
+
+  // The fit reads each row standardised by transformInto, the arithmetic
+  // transform() applies at prediction time.
+  Vec Scaled;
+  RowStream ScaledRows{Rows.Rows, Rows.Features,
+                       [&](const RowVisitor &Visit) {
+                         Rows.ForEach([&](const Vec &X, double Y) {
+                           Scaler.transformInto(X, Scaled);
+                           Visit(Scaled, Y);
+                         });
+                       }};
 
   LeastSquaresOptions LsOptions;
   LsOptions.Ridge = Options.Ridge;
-  std::optional<LinearFit> Fit =
-      fitLeastSquares(Scaled, Data.targets(), LsOptions);
+  std::optional<LinearFit> Fit = fitLeastSquares(ScaledRows, LsOptions);
   if (!Fit)
     return std::nullopt;
   return LinearModel(std::move(Scaler), std::move(*Fit), Name);
+}
+
+std::optional<LinearModel>
+medley::trainLinearModel(const Dataset &Data, const std::string &Name,
+                         LinearModelOptions Options) {
+  return trainLinearModel(Data.rows(), Name, Options);
 }

@@ -76,8 +76,15 @@ private:
   std::string Name;
 };
 
-/// Fits a LinearModel over \p Data. Returns std::nullopt for an empty or
-/// degenerate dataset.
+/// Fits a LinearModel over \p Rows, read in place: the scaler's moments
+/// and the least-squares sums are taken one row at a time, standardising
+/// each row on the fly. Returns std::nullopt for an empty or degenerate
+/// training set.
+std::optional<LinearModel> trainLinearModel(const RowStream &Rows,
+                                            const std::string &Name,
+                                            LinearModelOptions Options = {});
+
+/// Fits a LinearModel over the samples of \p Data.
 std::optional<LinearModel> trainLinearModel(const Dataset &Data,
                                             const std::string &Name,
                                             LinearModelOptions Options = {});

@@ -23,7 +23,7 @@ std::optional<SvrModel> medley::trainSvrModel(const Dataset &Data,
 
   SvrModel Model;
   Model.Name = Name;
-  Model.Scaler = FeatureScaler::fit(Data.designMatrix());
+  Model.Scaler = FeatureScaler::fit(Data.rows());
 
   size_t N = Data.size(), Dim = Data.numFeatures();
   std::vector<Vec> X;

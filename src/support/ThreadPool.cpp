@@ -6,8 +6,9 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/StringUtils.h"
+
 #include <atomic>
-#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -38,14 +39,8 @@ unsigned ThreadPool::defaultJobs() {
   // negative, overflow, or more workers than any sane machine) falls back
   // to the hardware concurrency instead of crashing or spawning a thread
   // per digit typo.
-  errno = 0;
-  char *End = nullptr;
-  long Jobs = std::strtol(Env, &End, 10);
-  if (errno != 0 || !End || End == Env || *End != '\0')
-    return Hardware;
-  if (Jobs <= 0 || Jobs > static_cast<long>(maxSaneJobs()))
-    return Hardware;
-  return static_cast<unsigned>(Jobs);
+  std::optional<uint64_t> Jobs = parseUnsigned(Env, 1, maxSaneJobs());
+  return Jobs ? static_cast<unsigned>(*Jobs) : Hardware;
 }
 
 ThreadPool::ThreadPool(unsigned Threads)

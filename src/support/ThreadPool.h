@@ -57,10 +57,10 @@ public:
   void submit(std::function<void()> Task);
 
   /// The process-wide default worker count: the MEDLEY_JOBS environment
-  /// variable when set to a positive integer no larger than maxSaneJobs(),
-  /// otherwise the hardware concurrency (at least 1). Malformed values
-  /// (non-numeric, trailing junk, zero, negative, overflow, absurdly
-  /// large) fall back to the hardware concurrency.
+  /// variable when parseUnsigned reads it as an integer in
+  /// [1, maxSaneJobs()], otherwise the hardware concurrency (at least 1).
+  /// Malformed values (non-numeric, trailing junk, zero, negative,
+  /// overflow, absurdly large) fall back to the hardware concurrency.
   static unsigned defaultJobs();
 
   /// Upper bound accepted from MEDLEY_JOBS before falling back.

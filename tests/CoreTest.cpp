@@ -10,10 +10,12 @@
 #include "core/MixtureOfExperts.h"
 #include "core/MoeStats.h"
 #include "core/Oracle.h"
+#include "support/Fnv.h"
 #include "workload/Catalog.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -814,7 +816,8 @@ TEST(ExpertBuilderTest, BuildsRequestedGranularities) {
     for (size_t I = 0; I < Built.size(); ++I) {
       EXPECT_EQ(Built[I].E.name(), "E" + std::to_string(I + 1));
       EXPECT_FALSE(Built[I].E.description().empty());
-      EXPECT_GT(Built[I].ThreadData.size(), 0u);
+      EXPECT_GT(Built[I].ThreadSamples, 0u);
+      EXPECT_GT(Built[I].EnvSamples, 0u);
     }
     // Ordered by the calmness of the training regime.
     for (size_t I = 1; I < Built.size(); ++I)
@@ -959,11 +962,58 @@ TEST(ExpertBuilderTest, SubsampledBuildShrinksData) {
   auto Full = Builder.build(2);
   auto Quarter = Builder.buildSubsampled(2, 0.25);
   ASSERT_EQ(Quarter.size(), 2u);
-  size_t FullSamples = Full[0].ThreadData.size() + Full[1].ThreadData.size();
-  size_t QuarterSamples =
-      Quarter[0].ThreadData.size() + Quarter[1].ThreadData.size();
+  size_t FullSamples = Full[0].ThreadSamples + Full[1].ThreadSamples;
+  size_t QuarterSamples = Quarter[0].ThreadSamples + Quarter[1].ThreadSamples;
   EXPECT_LT(QuarterSamples, FullSamples / 3);
   EXPECT_GT(QuarterSamples, FullSamples / 6);
+}
+
+namespace {
+
+uint64_t hashDouble(uint64_t Hash, double V) {
+  return support::fnv1aWord(Hash, std::bit_cast<uint64_t>(V));
+}
+
+uint64_t hashModel(uint64_t Hash, const LinearModel &Model) {
+  for (double W : Model.weights())
+    Hash = hashDouble(Hash, W);
+  Hash = hashDouble(Hash, Model.intercept());
+  Hash = hashDouble(Hash, Model.trainingR2());
+  for (double M : Model.scaler().means())
+    Hash = hashDouble(Hash, M);
+  for (double S : Model.scaler().scales())
+    Hash = hashDouble(Hash, S);
+  return Hash;
+}
+
+} // namespace
+
+TEST(ExpertBuilderTest, TrainedModelsArePinned) {
+  // Every bit of every standard model: the 1/2/4/8-expert sets, the corpus
+  // scaler, the Figure-14c aggregate and the offline policy's aggregate.
+  // Training may get cheaper; it may not change a single bit.
+  uint64_t Hash = support::fnv1aInit();
+  ExpertBuilder Builder;
+  FeatureScaler Scaler = Builder.featureScaler();
+  for (double M : Scaler.means())
+    Hash = hashDouble(Hash, M);
+  for (double S : Scaler.scales())
+    Hash = hashDouble(Hash, S);
+  for (unsigned K : {1u, 2u, 4u, 8u})
+    for (const BuiltExpert &B : Builder.build(K)) {
+      Hash = hashModel(Hash, *B.E.threadModel());
+      Hash = hashModel(Hash, *B.E.envModel());
+      Hash = hashDouble(Hash, B.E.meanTrainingEnv());
+    }
+  Hash = hashModel(Hash, Builder.monolithicThreadModel());
+
+  TrainingConfig Offline = TrainingConfig::standard();
+  Offline.Platforms = {sim::MachineConfig::evaluationPlatform()};
+  Offline.SplitPlatformIndex = 0;
+  Offline.AvailabilityPeriod = 1e9;
+  Hash = hashModel(Hash, ExpertBuilder(Offline).monolithicThreadModel());
+
+  EXPECT_EQ(Hash, 0x37499915adb10337ULL);
 }
 
 TEST(MixtureTest, FeedsObservationsToOnlineExperts) {

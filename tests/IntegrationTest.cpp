@@ -56,7 +56,10 @@ TEST(IntegrationTest, TrainedModelsHaveUsefulAccuracy) {
   Acc.RelativeTolerance = 0.25;
   Acc.AbsoluteTolerance = 2.0;
   for (const core::BuiltExpert &B : Policies.builtExperts(4)) {
-    double ThreadAcc = leaveOneGroupOut(B.ThreadData, {}, Acc).Accuracy;
+    double ThreadAcc =
+        leaveOneGroupOut(Policies.builder().trainingData(4, B).Threads, {},
+                         Acc)
+            .Accuracy;
     EXPECT_GT(ThreadAcc, 0.5) << B.E.description();
   }
 }

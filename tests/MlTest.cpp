@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "linalg/Solve.h"
 #include "ml/CrossValidation.h"
 #include "ml/Dataset.h"
 #include "ml/FeatureImpact.h"
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -96,7 +98,17 @@ TEST(DatasetTest, DesignMatrixAndTargets) {
   Dataset Data({"a", "b"});
   Data.add({1, 2}, 10, "g");
   Data.add({3, 4}, 20, "g");
-  EXPECT_EQ(Data.designMatrix().size(), 2u);
+  RowStream Rows = Data.rows();
+  EXPECT_EQ(Rows.Rows, 2u);
+  EXPECT_EQ(Rows.Features, 2u);
+  std::vector<Vec> X;
+  Vec Y;
+  Rows.ForEach([&](const Vec &Row, double Target) {
+    X.push_back(Row);
+    Y.push_back(Target);
+  });
+  EXPECT_EQ(X, (std::vector<Vec>{{1, 2}, {3, 4}}));
+  EXPECT_EQ(Y, (Vec{10, 20}));
   EXPECT_EQ(Data.targets(), (Vec{10, 20}));
 }
 
@@ -125,8 +137,8 @@ TEST(FeatureScalerTest, FitStandardises) {
   EXPECT_NEAR(S.means()[0], 2.0, 1e-12);
   // Standardised values have zero mean.
   double Sum = 0.0;
-  for (const Vec &Row : S.transformAll(Rows))
-    Sum += Row[0];
+  for (const Vec &Row : Rows)
+    Sum += S.transform(Row)[0];
   EXPECT_NEAR(Sum, 0.0, 1e-12);
 }
 
@@ -160,7 +172,7 @@ TEST(LinearModelTest, SharedScalerPredictionsMatchOwnScaler) {
   // OLS predictions are affine-equivariant: with negligible ridge, the
   // scaler choice must not change predictions.
   Dataset Data = makeLinearDataset(5);
-  FeatureScaler Shared = FeatureScaler::fit(Data.designMatrix());
+  FeatureScaler Shared = FeatureScaler::fit(Data.rows());
   LinearModelOptions WithShared;
   WithShared.SharedScaler = &Shared;
   auto A = trainLinearModel(Data, "own");
@@ -287,6 +299,158 @@ TEST(LinearModelTest, RidgeBiasesTowardMean) {
   double TargetMean = mean(Data.targets());
   // With overwhelming ridge, every prediction collapses to the mean.
   EXPECT_NEAR(Model->predict({2.0, 2.0, 2.0}), TargetMean, 0.05);
+}
+
+namespace {
+
+/// The ridge fit as it was computed from materialised copies: moments over
+/// the rows, every row standardised, the design matrix, A^T A and A^T y
+/// by Matrix products, then a Cholesky solve and R^2 over the copies.
+struct ReferenceFit {
+  Vec Means, Scales, Weights;
+  double Intercept = 0.0, R2 = 0.0;
+};
+
+ReferenceFit referenceRidgeFit(const Dataset &Data, double Ridge,
+                               const FeatureScaler *Shared) {
+  ReferenceFit Ref;
+  size_t N = Data.size(), F = Data.numFeatures();
+  if (Shared) {
+    Ref.Means = Shared->means();
+    Ref.Scales = Shared->scales();
+  } else {
+    Ref.Means.assign(F, 0.0);
+    Ref.Scales.assign(F, 1.0);
+    for (const Sample &S : Data.samples())
+      for (size_t I = 0; I < F; ++I)
+        Ref.Means[I] += S.X[I];
+    for (size_t I = 0; I < F; ++I)
+      Ref.Means[I] /= static_cast<double>(N);
+    Vec Var(F, 0.0);
+    for (const Sample &S : Data.samples())
+      for (size_t I = 0; I < F; ++I) {
+        double D = S.X[I] - Ref.Means[I];
+        Var[I] += D * D;
+      }
+    for (size_t I = 0; I < F; ++I) {
+      double Std = std::sqrt(Var[I] / static_cast<double>(N));
+      Ref.Scales[I] = Std > 1e-9 ? Std : 1.0;
+    }
+  }
+
+  std::vector<Vec> Scaled, Augmented;
+  for (const Sample &S : Data.samples()) {
+    Vec Z(F);
+    for (size_t I = 0; I < F; ++I)
+      Z[I] = (S.X[I] - Ref.Means[I]) / Ref.Scales[I];
+    Scaled.push_back(Z);
+    Z.push_back(1.0);
+    Augmented.push_back(Z);
+  }
+  Matrix A = Matrix::fromRows(Augmented);
+  Matrix At = A.transposed();
+  Matrix Normal = At.multiply(A);
+  for (size_t I = 0; I < F; ++I)
+    Normal.at(I, I) += Ridge;
+  std::optional<Vec> Solution = solveCholesky(Normal, At.apply(Data.targets()));
+  EXPECT_TRUE(Solution.has_value());
+  if (!Solution)
+    return Ref;
+  Ref.Weights.assign(Solution->begin(), Solution->begin() + F);
+  Ref.Intercept = (*Solution)[F];
+
+  double MeanY = 0.0;
+  for (const Sample &S : Data.samples())
+    MeanY += S.Y;
+  MeanY /= static_cast<double>(N);
+  double SsRes = 0.0, SsTot = 0.0;
+  for (size_t R = 0; R < N; ++R) {
+    double Y = Data.sample(R).Y;
+    double E = Y - (dot(Ref.Weights, Scaled[R]) + Ref.Intercept);
+    SsRes += E * E;
+    SsTot += (Y - MeanY) * (Y - MeanY);
+  }
+  Ref.R2 = SsTot <= 1e-12 ? (SsRes <= 1e-12 ? 1.0 : 0.0) : 1.0 - SsRes / SsTot;
+  return Ref;
+}
+
+/// Bitwise equality, so that -0.0 != 0.0 and every last ulp counts.
+void expectSameBits(const Vec &A, const Vec &B, const char *What) {
+  ASSERT_EQ(A.size(), B.size()) << What;
+  for (size_t I = 0; I < A.size(); ++I)
+    EXPECT_EQ(std::bit_cast<uint64_t>(A[I]), std::bit_cast<uint64_t>(B[I]))
+        << What << "[" << I << "]: " << A[I] << " vs " << B[I];
+}
+
+/// \p N rows over \p F features of mixed scales, with a noisy linear target.
+Dataset randomRidgeProblem(Rng &Gen, size_t N, size_t F) {
+  std::vector<std::string> Names;
+  for (size_t I = 0; I < F; ++I)
+    Names.push_back("f" + std::to_string(I));
+  Dataset Data(Names);
+  Vec Truth(F);
+  for (double &W : Truth)
+    W = Gen.normal(0.0, 2.0);
+  for (size_t R = 0; R < N; ++R) {
+    Vec X(F);
+    for (size_t I = 0; I < F; ++I)
+      X[I] = Gen.normal(static_cast<double>(I), 1.0 + 10.0 * I);
+    Data.add(X, dot(Truth, X) + Gen.normal(0.0, 3.0), "g");
+  }
+  return Data;
+}
+
+void expectStreamedFitMatchesReference(const Dataset &Data, double Ridge,
+                                       const FeatureScaler *Shared) {
+  LinearModelOptions Options;
+  Options.Ridge = Ridge;
+  Options.SharedScaler = Shared;
+  std::optional<LinearModel> Model = trainLinearModel(Data, "m", Options);
+  ASSERT_TRUE(Model.has_value());
+  ReferenceFit Ref = referenceRidgeFit(Data, Ridge, Shared);
+  expectSameBits(Model->scaler().means(), Ref.Means, "mean");
+  expectSameBits(Model->scaler().scales(), Ref.Scales, "scale");
+  expectSameBits(Model->weights(), Ref.Weights, "weight");
+  expectSameBits({Model->intercept(), Model->trainingR2()},
+                 {Ref.Intercept, Ref.R2}, "intercept, R2");
+}
+
+} // namespace
+
+TEST(LinearModelTest, StreamedRidgeFitIsBitIdenticalToMatrixProducts) {
+  Rng Gen(0x5E1F);
+  for (int Trial = 0; Trial < 12; ++Trial) {
+    size_t N = static_cast<size_t>(Gen.uniformInt(20, 420));
+    size_t F = static_cast<size_t>(Gen.uniformInt(1, 10));
+    Dataset Data = randomRidgeProblem(Gen, N, F);
+    double Ridge = Trial % 2 ? 1e-3 : 0.3 * static_cast<double>(N);
+    SCOPED_TRACE("trial " + std::to_string(Trial));
+    expectStreamedFitMatchesReference(Data, Ridge, nullptr);
+  }
+}
+
+TEST(LinearModelTest, StreamedRidgeFitSkipsExactZerosLikeMultiply) {
+  // A constant column standardises to exactly 0.0 in every row, the entries
+  // Matrix::multiply skips.
+  Rng Gen(0xC0157);
+  Dataset Varied = randomRidgeProblem(Gen, 150, 4);
+  Dataset Data(Varied.featureNames());
+  for (const Sample &S : Varied.samples()) {
+    Vec X = S.X;
+    X[2] = 3.25;
+    Data.add(X, S.Y, S.Group);
+  }
+  FeatureScaler Own = FeatureScaler::fit(Data.rows());
+  ASSERT_EQ(Own.transform(Data.sample(0).X)[2], 0.0);
+  expectStreamedFitMatchesReference(Data, 1e-3, nullptr);
+}
+
+TEST(LinearModelTest, StreamedRidgeFitWithSharedScalerIsBitIdentical) {
+  Rng Gen(0x5CA1E);
+  Dataset Corpus = randomRidgeProblem(Gen, 500, 6);
+  FeatureScaler Shared = FeatureScaler::fit(Corpus.rows());
+  Dataset Subset = randomRidgeProblem(Gen, 90, 6);
+  expectStreamedFitMatchesReference(Subset, 1e-3, &Shared);
 }
 
 //===----------------------------------------------------------------------===//

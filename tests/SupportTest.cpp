@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -279,6 +280,41 @@ TEST(StringUtilsTest, AsciiBar) {
   EXPECT_EQ(asciiBar(0.0, 3.0), "");
   EXPECT_EQ(asciiBar(-1.0, 3.0), "");
   EXPECT_EQ(asciiBar(100.0, 3.0, 5).size(), 5u);
+}
+
+TEST(StringUtilsTest, ParseUnsignedTakesWholeDecimalOrHex) {
+  EXPECT_EQ(parseUnsigned("0"), 0u);
+  EXPECT_EQ(parseUnsigned("42"), 42u);
+  EXPECT_EQ(parseUnsigned("0xF1EE7"), 0xF1EE7u);
+  EXPECT_EQ(parseUnsigned("0XaB"), 0xABu);
+  // Seeds keep all 64 bits.
+  EXPECT_EQ(parseUnsigned("18446744073709551615"),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(parseUnsigned("0xFFFFFFFFFFFFFFFF"),
+            std::numeric_limits<uint64_t>::max());
+  for (const char *Bad :
+       {"", "abc", "4x", "12abc", "1e3", " 4", "4 ", "+4", "-1", "--2", "0x",
+        "0x-1", "0xG", "18446744073709551616", "0x10000000000000000"})
+    EXPECT_FALSE(parseUnsigned(Bad).has_value()) << "'" << Bad << "'";
+}
+
+TEST(StringUtilsTest, ParseUnsignedChecksRange) {
+  EXPECT_FALSE(parseUnsigned("0", 1).has_value());
+  EXPECT_EQ(parseUnsigned("1", 1), 1u);
+  EXPECT_EQ(parseUnsigned("1024", 0, 1024), 1024u);
+  EXPECT_FALSE(parseUnsigned("1025", 0, 1024).has_value());
+  // A negative --jobs must not wrap to a huge worker count.
+  EXPECT_FALSE(parseUnsigned("-1", 0, 1024).has_value());
+  EXPECT_FALSE(parseUnsigned("4294967295", 0, 1024).has_value());
+}
+
+TEST(StringUtilsTest, ParseDoubleTakesWholeFiniteNumbers) {
+  EXPECT_EQ(parseDouble("0.5"), 0.5);
+  EXPECT_EQ(parseDouble("-2"), -2.0);
+  EXPECT_EQ(parseDouble("1e3"), 1000.0);
+  for (const char *Bad :
+       {"", "abc", "1.5x", " 1", "1 ", "+1", "inf", "-inf", "nan", "1e999"})
+    EXPECT_FALSE(parseDouble(Bad).has_value()) << "'" << Bad << "'";
 }
 
 TEST(TableTest, AlignsColumnsAndPrintsRule) {
