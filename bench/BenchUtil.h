@@ -7,7 +7,7 @@
 /// \file
 /// Helpers shared by the per-figure bench binaries: a standard banner with
 /// the paper reference, the per-benchmark speedup-figure runner, and the
-/// evaluation target list.
+/// strict parser of the benches' numeric flags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,7 @@
 #include "exp/PolicySet.h"
 #include "exp/Reporter.h"
 
+#include <cstdint>
 #include <string>
 
 namespace medley::bench {
@@ -33,6 +34,13 @@ void printBanner(const std::string &FigureId, const std::string &Claim);
 exp::SpeedupMatrix runSpeedupFigure(const std::string &FigureId,
                                     const std::string &Claim,
                                     const exp::Scenario &Scen);
+
+/// The value of the numeric flag --\p Name: all of \p Text as a whole
+/// number in [Min, Max] (parseUnsigned, support/StringUtils.h). Anything
+/// else prints "invalid value '<Text>' for --<Name>" and exits 1, the
+/// benches' usage code.
+uint64_t flagValue(const char *Name, const std::string &Text, uint64_t Min,
+                   uint64_t Max);
 
 } // namespace medley::bench
 

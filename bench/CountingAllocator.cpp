@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iostream>
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -33,6 +34,14 @@
 static std::atomic<size_t> GAllocCount{0};
 
 size_t medley::bench::allocationCount() { return GAllocCount.load(); }
+
+bool medley::bench::zeroAllocations(const char *What, size_t Count) {
+  if (Count == 0)
+    return true;
+  std::cerr << "FAIL: " << Count << " heap allocations per " << What
+            << ", expected 0\n";
+  return false;
+}
 
 #if MEDLEY_COUNTING_ALLOC
 static void *countedAlloc(std::size_t Size) {

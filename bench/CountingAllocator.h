@@ -21,8 +21,14 @@
 namespace medley::bench {
 
 /// Heap allocations made through operator new so far in this process.
-/// Stays 0 in sanitizer builds, which keep the stock allocator.
+/// Stays 0 in ASan and TSan builds, which keep the stock allocator.
 size_t allocationCount();
+
+/// The zero-allocation gate of the smoke runs: true when \p Count is 0,
+/// otherwise prints the count of allocations per \p What and returns
+/// false. ASan and TSan builds count nothing, so they pass it by
+/// construction; every other build enforces it.
+bool zeroAllocations(const char *What, size_t Count);
 
 } // namespace medley::bench
 

@@ -92,7 +92,8 @@ int main(int Argc, char **Argv) {
     if (Arg == "--smoke")
       Smoke = true;
     else if (Arg == "--jobs" && I + 1 < Argc)
-      Jobs = static_cast<unsigned>(std::stoul(Argv[++I]));
+      Jobs = static_cast<unsigned>(bench::flagValue(
+          "jobs", Argv[++I], 0, support::ThreadPool::maxSaneJobs()));
     else {
       std::cerr << "usage: bench_driver_throughput [--jobs N] [--smoke]\n";
       return 1;

@@ -15,7 +15,8 @@
 //   bench_fleet [--smoke] [--shards N] [--tenants N] [--rounds N]
 //               [--ticks N] [--jobs N]
 //
-// --smoke   small fleet run end to end; no JSON written
+// --smoke   small fleet run end to end; no JSON written; fails on any
+//           steady-tick heap allocation
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 
 #include "exp/Fleet.h"
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
 #include <chrono>
 #include <fstream>
@@ -82,20 +84,26 @@ int main(int Argc, char **Argv) {
   Config.TicksPerRound = 25;
   Config.StormShards = 4;
 
+  const uint64_t Max = std::numeric_limits<unsigned>::max();
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--smoke")
       Smoke = true;
     else if (Arg == "--shards" && I + 1 < Argc)
-      Config.Shards = static_cast<unsigned>(std::stoul(Argv[++I]));
+      Config.Shards =
+          static_cast<unsigned>(bench::flagValue("shards", Argv[++I], 1, Max));
     else if (Arg == "--tenants" && I + 1 < Argc)
-      Config.Tenants = static_cast<unsigned>(std::stoul(Argv[++I]));
+      Config.Tenants =
+          static_cast<unsigned>(bench::flagValue("tenants", Argv[++I], 1, Max));
     else if (Arg == "--rounds" && I + 1 < Argc)
-      Config.Rounds = std::stoul(Argv[++I]);
+      Config.Rounds = bench::flagValue(
+          "rounds", Argv[++I], 1, std::numeric_limits<uint64_t>::max());
     else if (Arg == "--ticks" && I + 1 < Argc)
-      Config.TicksPerRound = static_cast<unsigned>(std::stoul(Argv[++I]));
+      Config.TicksPerRound =
+          static_cast<unsigned>(bench::flagValue("ticks", Argv[++I], 1, Max));
     else if (Arg == "--jobs" && I + 1 < Argc)
-      Config.Jobs = static_cast<unsigned>(std::stoul(Argv[++I]));
+      Config.Jobs = static_cast<unsigned>(bench::flagValue(
+          "jobs", Argv[++I], 0, support::ThreadPool::maxSaneJobs()));
     else {
       std::cerr << "usage: bench_fleet [--smoke] [--shards N] [--tenants N]"
                    " [--rounds N] [--ticks N] [--jobs N]\n";
@@ -128,7 +136,10 @@ int main(int Argc, char **Argv) {
 
   if (Smoke) {
     std::cout << "\nsmoke run -- BENCH_fleet.json not written\n";
-    return Plain.DecisionsTotal == 0 ? 1 : 0;
+    return Plain.DecisionsTotal == 0 ||
+                   !bench::zeroAllocations("steady tick", TickAllocs)
+               ? 1
+               : 0;
   }
 
   double NsPerTick =

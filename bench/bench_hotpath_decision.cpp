@@ -15,7 +15,8 @@
 //                          [--jobs N]
 //
 // --smoke        tiny pass end-to-end; used by the `bench-smoke` ctest
-//                label as a fast check that the hot path still runs
+//                label as a fast check that the hot path still runs, and
+//                fails on any steady-tick or acquire heap allocation
 // --golden FILE  write the deterministic mixture decision sequence (one
 //                thread count per line) instead of timing; byte-comparing
 //                two builds' files proves the decision path unchanged
@@ -35,6 +36,7 @@
 #include "sim/AvailabilityPattern.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 #include "workload/Catalog.h"
 
 #include <chrono>
@@ -353,7 +355,8 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--grid" && I + 1 < Argc)
       GridPath = Argv[++I];
     else if (Arg == "--jobs" && I + 1 < Argc)
-      Jobs = static_cast<unsigned>(std::stoul(Argv[++I]));
+      Jobs = static_cast<unsigned>(bench::flagValue(
+          "jobs", Argv[++I], 0, support::ThreadPool::maxSaneJobs()));
     else {
       std::cerr << "usage: bench_hotpath_decision [--smoke] "
                    "[--golden FILE] [--grid FILE] [--jobs N]\n";
@@ -447,9 +450,13 @@ int main(int Argc, char **Argv) {
 
   // Smoke runs are single noisy sweeps for sanitizer/CI coverage; writing
   // their numbers out would clobber the JSON the bench-compare gate reads.
+  // Their allocation counts are exact, so they gate the zero-allocation
+  // contract directly.
   if (Smoke) {
     std::cout << "\nsmoke run -- BENCH_hotpath.json not written\n";
-    return Checksum == 0 ? 1 : 0;
+    bool ZeroAllocs = bench::zeroAllocations("steady tick", TickAllocs) &
+                      bench::zeroAllocations("acquire", AcquireAllocs);
+    return Checksum == 0 || !ZeroAllocs ? 1 : 0;
   }
 
   std::ofstream Json("BENCH_hotpath.json");

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The scale axis of the project (DESIGN.md §16): N share-nothing machine
-/// shards, each owning its own Simulation (TaskTable-backed task state,
-/// per-tick Arena, SystemMonitor), its own churn Rng stream derived from
-/// the fleet seed and the shard id, its own latency histogram and its own
-/// per-round scratch arena. Shards never touch each other's state on the
-/// tick path; the only cross-shard channel is a (dst, src) mailbox matrix
-/// of tenant tokens, written by the source shard during its round and
-/// drained by the destination in source-id order after the round barrier.
+/// shards, each owning its own Simulation (task table, SystemMonitor), its
+/// own churn Rng stream derived from the fleet seed and the shard id, its
+/// own latency histogram and its own per-round scratch arena. Shards never
+/// touch each other's state on the tick path; the only cross-shard channel
+/// is a (dst, src) mailbox matrix of tenant tokens, written by the source
+/// shard during its round and drained by the destination in source-id
+/// order after the round barrier.
 ///
 /// Determinism: every per-shard stream is derived from (fleet seed, shard
 /// id), mailbox drains are src-ordered, and the two-level reduction merges

@@ -45,7 +45,9 @@ Simulation::Simulation(MachineConfig Config,
       NextCoresChange(-std::numeric_limits<double>::infinity()) {
   assert(Config.valid() && "invalid machine configuration");
   assert(this->Availability && "availability pattern required");
-  assert(Tick > 0.0 && "tick must be positive");
+  // Program::step advances nothing on a tick this short; the steady pass
+  // would, so such ticks are not supported.
+  assert(Tick > 1e-12 && "tick below the 1e-12 s step resolution");
   BaseAlloc.CoresPerSocket = Config.coresPerSocket();
   BaseAlloc.InterSocketSync = Config.InterSocketSync;
   BaseAlloc.Version = freshVersionBlock();
@@ -70,26 +72,28 @@ void Simulation::setFaultInjector(std::unique_ptr<FaultInjector> Injector) {
 unsigned Simulation::runnableThreads() const {
   Table.compact();
   unsigned Total = 0;
-  for (size_t I = 0, N = Table.slots(); I < N; ++I)
-    if (!Table.finished(I))
-      Total += Table.threads(I);
+  for (size_t I = 0, N = Table.slots(); I < N; ++I) {
+    const TaskState &S = Table.ptr(I)->State;
+    if (!S.Finished)
+      Total += S.Threads;
+  }
   return Total;
 }
 
 void Simulation::recomputeTickState(unsigned Cores) {
-  // One pass over the columns gathers every per-task quantity this tick
-  // needs. The accumulation is in insertion order — identical, value for
-  // value, to the virtual-accessor gather this replaces — so reusing the
+  // One pass over the task states gathers every per-task quantity this
+  // tick needs. The accumulation is in insertion order, so reusing the
   // cached results on later ticks with an unchanged generation is
   // bit-identical to recomputing them.
   unsigned Runnable = 0;
   double UsedMemory = 0.0;
   const size_t N = Table.slots();
   for (size_t I = 0; I < N; ++I) {
-    if (!Table.ptr(I) || Table.finished(I))
+    const Task *T = Table.ptr(I);
+    if (!T || T->State.Finished)
       continue;
-    Runnable += Table.threads(I);
-    UsedMemory += Table.workingSetMb(I);
+    Runnable += T->State.Threads;
+    UsedMemory += T->State.WorkingSetMb;
   }
 
   // Fair time slicing with a context-switch penalty once the machine is
@@ -116,9 +120,10 @@ void Simulation::recomputeTickState(unsigned Cores) {
   // actually receives; factor > 1 slows the memory-bound portion of work.
   double TotalDemand = 0.0;
   for (size_t I = 0; I < N; ++I) {
-    if (!Table.ptr(I) || Table.finished(I))
+    const Task *T = Table.ptr(I);
+    if (!T || T->State.Finished)
       continue;
-    TotalDemand += Table.memoryDemand(I) * Share;
+    TotalDemand += T->State.MemoryDemand * Share;
   }
   double DemandRatio = TotalDemand / Config.MemoryBandwidth;
   double MemFactor =
@@ -174,11 +179,13 @@ void Simulation::step() {
 
   BaseAlloc.Now = Time;
 
-  // Phase 1: every unfinished task attempts the steady fast path (advance
-  // without reading the environment). Tasks that decline are staged in
-  // SlowTasks and take the slow path below, in insertion order, so
-  // observer and decision callbacks fire in the same order as a loop that
-  // stepped every task the slow way.
+  // Phase 1, the steady pass: every unfinished task with an active region
+  // that does not end this tick is advanced in place, with the same
+  // operations in the same order as the slow path's step() would apply,
+  // so the results are bit-identical. The rest are staged in SlowTasks and
+  // take the slow path below, in insertion order, so observer and decision
+  // callbacks fire in the same order as a loop that stepped every task
+  // the slow way.
   const size_t N = Table.slots();
   if (SlowTasks.size() < N)
     SlowTasks.resize(N);
@@ -186,10 +193,21 @@ void Simulation::step() {
   size_t NumSlow = 0;
   for (size_t I = 0; I < N; ++I) {
     Task *T = Table.ptr(I);
-    if (!T || Table.finished(I))
+    if (!T)
       continue;
-    if (!T->stepSteady(Tick, BaseAlloc))
-      Slow[NumSlow++] = static_cast<uint32_t>(I);
+    TaskState &S = T->State;
+    if (S.Finished)
+      continue;
+    if (S.RegionActive) {
+      double Rate = T->refreshRate(BaseAlloc);
+      assert(Rate > 0.0 && "region cannot make progress");
+      if ((S.RegionWork - S.RegionProgress) / Rate > Tick) {
+        S.RegionProgress += Rate * Tick;
+        S.WorkCompleted += Rate * Tick;
+        continue;
+      }
+    }
+    Slow[NumSlow++] = static_cast<uint32_t>(I);
   }
 
   // Phase 2: sample the environment once — only needed when some task
@@ -197,20 +215,28 @@ void Simulation::step() {
   // consulted every tick to keep its random stream aligned. The env
   // sample is per-observer (a task does not count its own threads as
   // external workload), but only its WorkloadThreads field depends on the
-  // observer — sample once and rewrite that field per task.
+  // observer — sample once and rewrite that field per task. A step that
+  // changes any of the four quantities the reductions read bumps the
+  // table generation, so the next tick recomputes them.
   if (NumSlow > 0 || Faults) {
     EnvSample SharedEnv = Monitor.sample(0);
     unsigned MonitorRunnable = Monitor.runnable();
     if (Faults)
       Faults->perturbEnv(Time, SharedEnv);
     for (size_t K = 0; K < NumSlow; ++K) {
-      size_t I = Slow[K];
-      unsigned SelfThreads = Table.threads(I);
+      Task *T = Table.ptr(Slow[K]);
+      const TaskState &S = T->State;
+      const unsigned Threads = S.Threads;
+      const double Demand = S.MemoryDemand;
+      const double WorkingSet = S.WorkingSetMb;
+      const bool Finished = S.Finished;
       BaseAlloc.Env = SharedEnv;
       BaseAlloc.Env.WorkloadThreads = static_cast<double>(
-          MonitorRunnable > SelfThreads ? MonitorRunnable - SelfThreads : 0);
-      Table.ptr(I)->step(Tick, BaseAlloc);
-      Table.refresh(I);
+          MonitorRunnable > Threads ? MonitorRunnable - Threads : 0);
+      T->step(Tick, BaseAlloc);
+      if (S.Threads != Threads || S.MemoryDemand != Demand ||
+          S.WorkingSetMb != WorkingSet || S.Finished != Finished)
+        Table.bumpGeneration();
     }
   }
 

@@ -12,19 +12,21 @@
 /// DESIGN.md §5).
 ///
 /// The tick loop is structured around three caches that are all
-/// bit-identity-preserving (DESIGN.md §13): task state lives in a
-/// struct-of-arrays TaskTable whose generation counter lets the per-tick
-/// FP reductions (runnable threads, used memory, bandwidth demand — and
-/// the share/contention factors derived from them, including the pow())
-/// be reused verbatim across ticks where no column changed, and a
+/// bit-identity-preserving (DESIGN.md §13): each task's scheduling state
+/// is plain data (TaskState) that the loop reads in place and, on a steady
+/// tick, advances in place with no virtual call; the task table's
+/// generation counter lets the per-tick FP reductions (runnable threads,
+/// used memory, bandwidth demand — and the share/contention factors
+/// derived from them, including the pow()) be reused verbatim across
+/// ticks where no task's scheduling quantities changed, and a
 /// recomputation that moves a rate field gives the allocation a new
 /// version, on which tasks key their cached region rates; processor
 /// availability is queried only at pattern-declared change points; and
 /// the environment sample is taken lazily, only on ticks where some task
-/// takes the slow path (a fast-pathed task never reads its Env). With a
-/// fault injector installed the loop reverts to the always-query,
-/// always-sample schedule, because injectors draw seeded randomness once
-/// per tick and skipping a call would shift the fault stream.
+/// takes the slow path (a steady task never reads its Env). With a fault
+/// injector installed the loop reverts to the always-query, always-sample
+/// schedule, because injectors draw seeded randomness once per tick and
+/// skipping a call would shift the fault stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,7 +111,7 @@ private:
   double Tick;
   double Time = 0.0;
   SystemMonitor Monitor;
-  /// Task state, struct-of-arrays; iteration order is insertion order.
+  /// The task set; iteration order is insertion order.
   TaskTable Table;
   std::vector<std::function<void(Simulation &)>> TickHooks;
 

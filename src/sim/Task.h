@@ -7,7 +7,8 @@
 /// \file
 /// The interface between the simulator's scheduler and anything that runs on
 /// the machine. Program models (src/workload) implement Task; the scheduler
-/// hands each task its per-tick CPU allocation and contention state.
+/// hands each task its per-tick CPU allocation and contention state, and
+/// reads and advances the task's scheduling state in place (TaskState).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,15 +61,38 @@ struct CpuAllocation {
   uint64_t Version = 0;
 };
 
-/// Anything the simulated machine can run.
+/// A task's scheduling state as plain data, read and advanced in place by
+/// the simulator (DESIGN.md §13.1).
 ///
-/// Scheduler contract: the four observable scheduling quantities —
-/// activeThreads(), memoryDemand(), workingSetMb() and finished() — may
-/// change only inside step() / stepSteady(). The simulator mirrors them
-/// into struct-of-arrays columns (sim::TaskTable) at add time and after
-/// every slow-path step, and its per-tick reductions read the columns, not
-/// the accessors; a task mutating them out of band desynchronises the
-/// mirror.
+/// Who writes what: the task writes every field, but only in its
+/// constructor and inside step(). The simulator writes RegionProgress,
+/// WorkCompleted, Rate and RateVersion, and only in its steady pass, on a
+/// tick where the active region neither starts nor finishes.
+struct TaskState {
+  /// Threads the task keeps runnable.
+  unsigned Threads = 0;
+  /// True once the task has completed all its work.
+  bool Finished = false;
+  /// A region is running: the steady pass may advance it without step().
+  bool RegionActive = false;
+  /// Memory bandwidth demand, in normalised units, if the task ran at full
+  /// speed this tick (the scheduler scales it by the granted CPU share).
+  double MemoryDemand = 0.0;
+  /// Resident working set in MB.
+  double WorkingSetMb = 0.0;
+  /// Serial work of the active region, and how much of it is done.
+  double RegionWork = 0.0;
+  double RegionProgress = 0.0;
+  /// Serial work completed over the task's lifetime.
+  double WorkCompleted = 0.0;
+  /// The active region's progress rate under allocation version
+  /// RateVersion. No simulator allocation has version 0, so zeroing
+  /// RateVersion forces the next refresh.
+  double Rate = 0.0;
+  uint64_t RateVersion = 0;
+};
+
+/// Anything the simulated machine can run.
 class Task {
 public:
   virtual ~Task();
@@ -77,36 +101,42 @@ public:
   virtual const std::string &name() const = 0;
 
   /// Threads this task currently keeps runnable.
-  virtual unsigned activeThreads() const = 0;
+  unsigned activeThreads() const { return State.Threads; }
 
-  /// Memory bandwidth demand, in normalised units, if the task ran at full
-  /// speed this tick (the scheduler scales it by the granted CPU share).
-  virtual double memoryDemand() const = 0;
+  /// Memory bandwidth demand at full speed (see TaskState::MemoryDemand).
+  double memoryDemand() const { return State.MemoryDemand; }
 
   /// Resident working set in MB.
-  virtual double workingSetMb() const = 0;
-
-  /// Advances the task by \p Dt seconds under \p Allocation.
-  virtual void step(double Dt, const CpuAllocation &Allocation) = 0;
-
-  /// Steady-tick fast path. \p Allocation carries the same scalar fields
-  /// as step()'s would, but its Env member is STALE — a task that would
-  /// consult the environment this tick (e.g. to start a new region) must
-  /// return false. Returning true means the task fully advanced itself by
-  /// \p Dt, bit-identically to what step() would have done, without
-  /// changing any of the four observable scheduling quantities. Returning
-  /// false means "take the slow path": the scheduler then samples the
-  /// environment and calls step() with a complete allocation; the task
-  /// must not have mutated anything. The default opts every tick out, so
-  /// existing Task implementations keep their exact behaviour.
-  virtual bool stepSteady(double Dt, const CpuAllocation &Allocation) {
-    (void)Dt;
-    (void)Allocation;
-    return false;
-  }
+  double workingSetMb() const { return State.WorkingSetMb; }
 
   /// True once the task has completed all its work.
-  virtual bool finished() const = 0;
+  bool finished() const { return State.Finished; }
+
+  /// Advances the task by \p Dt seconds under \p Allocation: the slow
+  /// path, taken on every tick the simulator's steady pass cannot advance
+  /// the task itself (no active region, or the region ends this tick).
+  virtual void step(double Dt, const CpuAllocation &Allocation) = 0;
+
+protected:
+  /// The active region's progress rate under \p Allocation: a pure
+  /// function of the allocation's rate fields and the task's region and
+  /// threads. Called only while State.RegionActive.
+  virtual double activeRate(const CpuAllocation &Allocation) const = 0;
+
+  /// State.Rate, recomputed first unless State.RateVersion matches the
+  /// nonzero \p Allocation.Version. Equal nonzero versions carry
+  /// bit-identical rate fields and activeRate is pure, so a hit returns
+  /// exactly the bits a recomputation would.
+  double refreshRate(const CpuAllocation &Allocation) {
+    if (Allocation.Version == 0 || State.RateVersion != Allocation.Version) {
+      State.Rate = activeRate(Allocation);
+      State.RateVersion = Allocation.Version;
+    }
+    return State.Rate;
+  }
+
+  TaskState State;
+  friend class Simulation;
 };
 
 } // namespace medley::sim

@@ -1,4 +1,4 @@
-//===-- sim/TaskTable.cpp - Struct-of-arrays task state -------------------===//
+//===-- sim/TaskTable.cpp - The simulator's task set ----------------------===//
 //
 // Part of Medley, a reproduction of "Celebrating Diversity" (PLDI 2015).
 //
@@ -14,15 +14,11 @@ using namespace medley::sim;
 void TaskTable::adopt(std::shared_ptr<Task> T) {
   assert(T && "null task");
   Task *Raw = T.get();
-  // Column capacities stick at the task-set high-water mark, so add/remove
-  // churn at a stable population never reallocates.
+  // Capacities stick at the task-set high-water mark, so add/remove churn
+  // at a stable population never reallocates.
   // medley-lint: allow(hotpath-escape) — amortized sticky column growth.
   Owners.push_back(std::move(T));
   Ptrs.push_back(Raw);
-  Threads.push_back(Raw->activeThreads());
-  Demand.push_back(Raw->memoryDemand());
-  WorkingSet.push_back(Raw->workingSetMb());
-  Finished.push_back(Raw->finished() ? 1 : 0);
   ++Generation;
 }
 
@@ -44,7 +40,7 @@ void TaskTable::remove(const Task *T) {
 void TaskTable::compact() const {
   if (Tombstones < CompactionThreshold)
     return;
-  // Stable in-place erase across every column at once; survivors keep
+  // Stable in-place erase across both columns at once; survivors keep
   // insertion order so the step() reductions accumulate identically.
   size_t Out = 0;
   for (size_t I = 0, N = Owners.size(); I < N; ++I) {
@@ -53,40 +49,15 @@ void TaskTable::compact() const {
     if (Out != I) {
       Owners[Out] = std::move(Owners[I]);
       Ptrs[Out] = Ptrs[I];
-      Threads[Out] = Threads[I];
-      Demand[Out] = Demand[I];
-      WorkingSet[Out] = WorkingSet[I];
-      Finished[Out] = Finished[I];
     }
     ++Out;
   }
   Owners.resize(Out);
   Ptrs.resize(Out);
-  Threads.resize(Out);
-  Demand.resize(Out);
-  WorkingSet.resize(Out);
-  Finished.resize(Out);
   Tombstones = 0;
   // Compaction only drops tombstones (which every reduction already
   // skips), so the generation is intentionally NOT bumped: cached
   // reduction results stay valid.
-}
-
-void TaskTable::refresh(size_t I) {
-  assert(I < Owners.size() && Ptrs[I] && "refreshing a tombstoned slot");
-  const Task *T = Ptrs[I];
-  unsigned NewThreads = T->activeThreads();
-  double NewDemand = T->memoryDemand();
-  double NewWorkingSet = T->workingSetMb();
-  uint8_t NewFinished = T->finished() ? 1 : 0;
-  if (NewThreads == Threads[I] && NewDemand == Demand[I] &&
-      NewWorkingSet == WorkingSet[I] && NewFinished == Finished[I])
-    return;
-  Threads[I] = NewThreads;
-  Demand[I] = NewDemand;
-  WorkingSet[I] = NewWorkingSet;
-  Finished[I] = NewFinished;
-  ++Generation;
 }
 
 const std::vector<std::shared_ptr<Task>> &TaskTable::owners() const {

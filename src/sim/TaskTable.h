@@ -1,17 +1,15 @@
-//===-- sim/TaskTable.h - Struct-of-arrays task state -----------*- C++ -*-===//
+//===-- sim/TaskTable.h - The simulator's task set --------------*- C++ -*-===//
 //
 // Part of Medley, a reproduction of "Celebrating Diversity" (PLDI 2015).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The simulator's task set as a struct-of-arrays: one parallel column per
-/// observable scheduling quantity (active threads, memory demand, working
-/// set, finished flag), mirrored from the virtual Task accessors at add
-/// time and after every slow-path step. The tick loop's reductions walk
-/// the columns — contiguous, branch-predictable, no virtual dispatch —
-/// and a generation counter tells the loop when any column changed so it
-/// can reuse last tick's reduction results bit-for-bit (DESIGN.md §13).
+/// The simulator's task set: owners plus a raw-pointer column the tick
+/// loop walks to read and advance each task's TaskState in place, and a
+/// generation counter that tells the loop when any task's scheduling
+/// quantities or the membership changed, so it can reuse last tick's
+/// reduction results bit-for-bit (DESIGN.md §13).
 ///
 /// Iteration order is insertion order throughout: the per-tick FP
 /// reductions accumulate in task order, so removal tombstones a slot and
@@ -31,7 +29,7 @@
 
 namespace medley::sim {
 
-/// Struct-of-arrays mirror of every task's observable scheduling state.
+/// Every task of a simulation, in insertion order.
 class TaskTable {
 public:
   /// Tombstone count at which the next compact() call actually compacts.
@@ -41,7 +39,7 @@ public:
   /// survive past the next observation.
   static constexpr size_t CompactionThreshold = 1;
 
-  /// Appends \p T, capturing its observable state into the columns.
+  /// Appends \p T. Bumps the generation.
   /// (Named adopt, not add, so medley-lint's name-based call resolution
   /// doesn't conflate it with the dataset/statistics add() methods on the
   /// decision path.)
@@ -58,25 +56,20 @@ public:
   /// Live (non-tombstoned) task count.
   size_t size() const { return Owners.size() - Tombstones; }
 
-  /// Monotonic counter bumped whenever any column value or the membership
-  /// changes. Equal generations guarantee bit-identical column contents,
-  /// so per-tick reductions cached under a generation can be reused.
+  /// Monotonic counter bumped whenever the membership or a member's
+  /// threads, memory demand, working set or finished flag changes. Equal
+  /// generations guarantee bit-identical reduction inputs, so per-tick
+  /// reductions cached under a generation can be reused.
   uint64_t generation() const { return Generation; }
 
-  /// Raw slot count including tombstones — the iteration bound for the
-  /// column accessors below. Slots with ptr(I) == nullptr are tombstones.
+  /// Records that a member's scheduling quantities changed.
+  void bumpGeneration() { ++Generation; }
+
+  /// Raw slot count including tombstones — the iteration bound for ptr().
+  /// Slots with ptr(I) == nullptr are tombstones.
   size_t slots() const { return Owners.size(); }
 
   Task *ptr(size_t I) const { return Ptrs[I]; }
-  unsigned threads(size_t I) const { return Threads[I]; }
-  double memoryDemand(size_t I) const { return Demand[I]; }
-  double workingSetMb(size_t I) const { return WorkingSet[I]; }
-  bool finished(size_t I) const { return Finished[I] != 0; }
-
-  /// Re-reads slot \p I's accessors after a slow-path step and folds any
-  /// changes into the columns, bumping the generation only when a value
-  /// actually changed (steady ticks keep the reduction cache warm).
-  void refresh(size_t I);
 
   /// The owning pointers in insertion order, compacted first so callers
   /// never see a tombstone.
@@ -84,13 +77,9 @@ public:
 
 private:
   /// Insertion-order owners; a null entry is a tombstone left by remove().
-  /// Mutable (with the columns) so const accessors can compact lazily.
+  /// Mutable (with Ptrs) so const accessors can compact lazily.
   mutable std::vector<std::shared_ptr<Task>> Owners;
   mutable std::vector<Task *> Ptrs;
-  mutable std::vector<unsigned> Threads;
-  mutable std::vector<double> Demand;
-  mutable std::vector<double> WorkingSet;
-  mutable std::vector<uint8_t> Finished;
   mutable size_t Tombstones = 0;
   uint64_t Generation = 0;
 };

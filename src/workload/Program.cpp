@@ -48,20 +48,21 @@ Program::Program(std::shared_ptr<const ProgramSpec> Spec, ThreadChooser Chooser,
          "program needs at least one iteration");
   assert(MaxThreads >= 1 && "invalid thread clamp");
   assert(this->Chooser && "a thread chooser is required");
+  State.Threads = 1;
+  State.WorkingSetMb = this->Spec->WorkingSetMb;
+  publishDemand();
 }
 
 void Program::setRegionObserver(RegionObserver NewObserver) {
   Observer = std::move(NewObserver);
 }
 
-double Program::memoryDemand() const {
-  if (Done || Spec->Regions.empty())
-    return 0.0;
-  const RegionSpec &Region = Spec->Regions[RegionIndex];
-  return static_cast<double>(CurrentThreads) * Region.MemIntensity;
+void Program::publishDemand() {
+  State.MemoryDemand =
+      State.Finished ? 0.0
+                     : static_cast<double>(State.Threads) *
+                           Spec->Regions[RegionIndex].MemIntensity;
 }
-
-bool Program::finished() const { return Done; }
 
 void Program::startNextRegion(const sim::CpuAllocation &Allocation,
                               double Now) {
@@ -75,77 +76,52 @@ void Program::startNextRegion(const sim::CpuAllocation &Allocation,
   Context.MaxThreads = MaxThreads;
 
   unsigned Chosen = Chooser(Context);
-  CurrentThreads = std::clamp(Chosen, 1u, MaxThreads);
-  RegionWork = Context.Region->Work;
-  RegionProgress = 0.0;
+  State.Threads = std::clamp(Chosen, 1u, MaxThreads);
+  publishDemand();
+  State.RegionWork = Context.Region->Work;
+  State.RegionProgress = 0.0;
+  // The cached rate was for the previous region or thread count.
+  State.RateVersion = 0;
   RegionStart = Now;
-  RegionActive = true;
+  State.RegionActive = true;
 }
 
-double Program::cachedRegionRate(const sim::CpuAllocation &Allocation) {
-  if (Allocation.Version == 0 || RateVersion != Allocation.Version ||
-      RateRegionIndex != RegionIndex || RateThreads != CurrentThreads) {
-    CachedRate =
-        regionRate(Spec->Regions[RegionIndex], CurrentThreads, Allocation);
-    RateVersion = Allocation.Version;
-    RateRegionIndex = RegionIndex;
-    RateThreads = CurrentThreads;
-  }
-  return CachedRate;
-}
-
-bool Program::stepSteady(double Dt, const sim::CpuAllocation &Allocation) {
-  // The fast path replicates exactly one arithmetic scenario of step():
-  // an already-active region that does NOT complete within this tick. It
-  // performs the same operations in the same order on the same values, so
-  // its results are bit-identical; every other scenario (region start —
-  // which reads Allocation.Env, completion, Done, degenerate Dt) declines
-  // and lets the scheduler run the full step().
-  if (Done || !RegionActive || !(Dt > 1e-12))
-    return false;
-  double Rate = cachedRegionRate(Allocation);
-  assert(Rate > 0.0 && "region cannot make progress");
-  double WorkLeft = RegionWork - RegionProgress;
-  double TimeNeeded = WorkLeft / Rate;
-  if (!(TimeNeeded > Dt))
-    return false; // Region completes this tick: slow path.
-  RegionProgress += Rate * Dt;
-  TotalWorkDone += Rate * Dt;
-  return true;
+double Program::activeRate(const sim::CpuAllocation &Allocation) const {
+  return regionRate(Spec->Regions[RegionIndex], State.Threads, Allocation);
 }
 
 void Program::step(double Dt, const sim::CpuAllocation &Allocation) {
-  if (Done)
+  if (State.Finished)
     return;
   double Remaining = Dt;
-  while (Remaining > 1e-12 && !Done) {
+  while (Remaining > 1e-12 && !State.Finished) {
     double LocalNow = Allocation.Now + (Dt - Remaining);
-    if (!RegionActive)
+    if (!State.RegionActive)
       startNextRegion(Allocation, LocalNow);
 
     const RegionSpec &Region = Spec->Regions[RegionIndex];
-    double Rate = cachedRegionRate(Allocation);
+    double Rate = refreshRate(Allocation);
     assert(Rate > 0.0 && "region cannot make progress");
 
-    double WorkLeft = RegionWork - RegionProgress;
+    double WorkLeft = State.RegionWork - State.RegionProgress;
     double TimeNeeded = WorkLeft / Rate;
     if (TimeNeeded > Remaining) {
-      RegionProgress += Rate * Remaining;
-      TotalWorkDone += Rate * Remaining;
+      State.RegionProgress += Rate * Remaining;
+      State.WorkCompleted += Rate * Remaining;
       Remaining = 0.0;
       break;
     }
 
     // Region completes within this tick.
     Remaining -= TimeNeeded;
-    TotalWorkDone += WorkLeft;
+    State.WorkCompleted += WorkLeft;
     double EndTime = Allocation.Now + (Dt - Remaining);
     ++RegionsExecuted;
-    RegionActive = false;
+    State.RegionActive = false;
     if (Observer) {
       RegionOutcome Outcome;
       Outcome.Region = &Region;
-      Outcome.Threads = CurrentThreads;
+      Outcome.Threads = State.Threads;
       Outcome.Work = Region.Work;
       Outcome.Duration = EndTime - RegionStart;
       Outcome.EndTime = EndTime;
@@ -163,10 +139,11 @@ void Program::step(double Dt, const sim::CpuAllocation &Allocation) {
         if (CompletedRuns == 1)
           CompletionTime = EndTime;
         if (!Looping) {
-          Done = true;
-          CurrentThreads = 0;
+          State.Finished = true;
+          State.Threads = 0;
         }
       }
     }
+    publishDemand();
   }
 }

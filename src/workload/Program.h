@@ -92,12 +92,7 @@ public:
 
   // sim::Task interface.
   const std::string &name() const override { return Spec->Name; }
-  unsigned activeThreads() const override { return CurrentThreads; }
-  double memoryDemand() const override;
-  double workingSetMb() const override { return Spec->WorkingSetMb; }
   void step(double Dt, const sim::CpuAllocation &Allocation) override;
-  bool stepSteady(double Dt, const sim::CpuAllocation &Allocation) override;
-  bool finished() const override;
 
   const ProgramSpec &spec() const { return *Spec; }
 
@@ -116,17 +111,18 @@ public:
 
   /// Total serial-work units completed so far (across restarts when
   /// looping); the basis of workload-throughput measurements (Fig 13a).
-  double workCompleted() const { return TotalWorkDone; }
+  double workCompleted() const { return State.WorkCompleted; }
+
+protected:
+  /// regionRate for the active region at the current thread count.
+  double activeRate(const sim::CpuAllocation &Allocation) const override;
 
 private:
   void startNextRegion(const sim::CpuAllocation &Allocation, double Now);
 
-  /// regionRate for the active region and current thread count under
-  /// \p Allocation, cached on (Allocation.Version, region, threads). Equal
-  /// nonzero versions carry bit-identical rate fields and regionRate is
-  /// pure, so a hit returns exactly the bits a recomputation would. A
-  /// version-0 allocation is always recomputed.
-  double cachedRegionRate(const sim::CpuAllocation &Allocation);
+  /// Publishes the memory demand of the current region and thread count
+  /// (0 once done) into the task state.
+  void publishDemand();
 
   std::shared_ptr<const ProgramSpec> Spec;
   ThreadChooser Chooser;
@@ -134,25 +130,14 @@ private:
   bool Looping;
   RegionObserver Observer;
 
+  // The thread count, done flag, active region's work and progress, work
+  // completed and cached rate live in the task state (sim::TaskState).
   size_t RegionIndex = 0;
   size_t Iteration = 0;
-  bool RegionActive = false;
-  unsigned CurrentThreads = 1;
-  double RegionWork = 0.0; ///< Work of the active region, set at its start.
-  double RegionProgress = 0.0;
   double RegionStart = 0.0;
-  bool Done = false;
   double CompletionTime = 0.0;
   size_t CompletedRuns = 0;
   size_t RegionsExecuted = 0;
-  double TotalWorkDone = 0.0;
-
-  /// cachedRegionRate's single entry: key + value. RateVersion 0 never
-  /// matches, so the entry starts empty.
-  uint64_t RateVersion = 0;
-  size_t RateRegionIndex = 0;
-  unsigned RateThreads = 0;
-  double CachedRate = 0.0;
 };
 
 } // namespace medley::workload

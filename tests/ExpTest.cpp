@@ -7,10 +7,12 @@
 #include "exp/Driver.h"
 #include "exp/PolicySet.h"
 #include "exp/Reporter.h"
+#include "support/Fnv.h"
 #include "workload/Catalog.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 
 using namespace medley;
@@ -124,6 +126,43 @@ TEST(DriverTest, LiveScenarioRuns) {
   double Speedup = D.speedup("cg", Policies.factory("mixture"), S);
   EXPECT_GT(Speedup, 0.3);
   EXPECT_LT(Speedup, 30.0);
+}
+
+TEST(DriverTest, SimulatorOutputsArePinned) {
+  // A small fixed set of co-executions, digested bit for bit: every target
+  // time, workload throughput, region count and recorded decision. The
+  // constant was computed before the simulator read task state in place
+  // (DESIGN.md §13.1); any change to the tick arithmetic, the reduction
+  // cache or the rate cache moves it.
+  DriverOptions Options = quickOptions();
+  Options.Jobs = 1;
+  Driver D(Options);
+  PolicySet &Policies = PolicySet::instance();
+  const std::vector<Scenario> &Dynamic = Scenario::dynamicScenarios();
+  uint64_t Hash = support::fnv1aInit();
+  auto FoldDouble = [&Hash](double V) {
+    Hash = support::fnv1aWord(Hash, std::bit_cast<uint64_t>(V));
+  };
+  for (const Scenario *S : {&Dynamic.front(), &Dynamic.back()})
+    for (const char *Target : {"cg", "lu", "art"})
+      for (const char *Policy : {"default", "mixture"})
+        for (const workload::WorkloadSet &Set : S->workloadSets()) {
+          Measurement M = D.measure(Target, Policies.factory(Policy), *S, &Set);
+          ASSERT_TRUE(M.Failures.empty());
+          for (const runtime::CoExecutionResult &Run : M.Runs) {
+            FoldDouble(Run.TargetTime);
+            FoldDouble(Run.WorkloadThroughput);
+            Hash = support::fnv1aWord(Hash, Run.TargetRegions);
+            for (const runtime::Decision &Dec : Run.TargetDecisions) {
+              FoldDouble(Dec.Time);
+              Hash = support::fnv1aWord(Hash, Dec.Threads);
+              FoldDouble(Dec.EnvNorm);
+              Hash = support::fnv1aWord(Hash, Dec.AvailableProcessors);
+              Hash = support::fnv1aWord(Hash, Dec.Clamped);
+            }
+          }
+        }
+  EXPECT_EQ(Hash, 0x1274c1df6ed87975ULL);
 }
 
 //===----------------------------------------------------------------------===//

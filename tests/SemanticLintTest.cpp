@@ -176,26 +176,26 @@ TEST(HotpathEscapeTest, AllowAtTheAllocationSiteSuppresses) {
 }
 
 TEST(HotpathEscapeTest, SoATickKernelsAreDecisionEntries) {
-  // The SoA rewrite's tick kernels must anchor L7 reachability just like
-  // the selector entries: an allocation in a helper reached from
-  // TaskTable::refresh, Simulation::recomputeTickState or a stepSteady
-  // fast path is a hot-path escape.
+  // The tick kernels must anchor L7 reachability just like the selector
+  // entries: an allocation in a helper reached from
+  // Simulation::recomputeTickState or from the steady pass's rate refresh
+  // (Task::refreshRate and a task's activeRate) is a hot-path escape.
   std::vector<FileIndex> Tree = {
-      indexSrc("src/sim/TaskTableRefresh.cpp",
-               "class TaskTable { public: void refresh(int I); };\n"
-               "int gatherColumns(int I);\n"
-               "void TaskTable::refresh(int I) { gatherColumns(I); }\n"),
+      indexSrc("src/sim/TaskRefreshRate.cpp",
+               "class Task { public: double refreshRate(int V);\n"
+               "  virtual double activeRate(int N) const = 0; };\n"
+               "double Task::refreshRate(int V) { return activeRate(V); }\n"),
       indexSrc("src/sim/SimRecompute.cpp",
                "class Simulation { public: void recomputeTickState(int C); };\n"
                "int gatherColumns(int I);\n"
                "void Simulation::recomputeTickState(int C) {\n"
                "  gatherColumns(C);\n"
                "}\n"),
-      indexSrc("src/workload/ProgSteady.cpp",
-               "class Program { public: bool stepSteady(int N); };\n"
+      indexSrc("src/workload/ProgActiveRate.cpp",
+               "class Program { public: double activeRate(int N) const; };\n"
                "int gatherColumns(int I);\n"
-               "bool Program::stepSteady(int N) {\n"
-               "  return gatherColumns(N) != 0;\n"
+               "double Program::activeRate(int N) const {\n"
+               "  return gatherColumns(N);\n"
                "}\n"),
       indexSrc("src/sim/Gather.cpp",
                "int gatherColumns(int I) {\n"
@@ -213,6 +213,11 @@ TEST(HotpathEscapeTest, SoATickKernelsAreDecisionEntries) {
       EXPECT_EQ(F.File, "src/sim/Gather.cpp");
     }
   }
+  // Without recomputeTickState, the rate refresh alone still reaches it.
+  Tree.erase(Tree.begin() + 1);
+  Findings = runSemanticRules(linkCallGraph(Tree));
+  EXPECT_EQ(countRule(Findings, "hotpath-escape"), 1u)
+      << messagesOf(Findings);
 }
 
 TEST(HotpathEscapeTest, TestTreeDefinitionsAreOutOfScope) {

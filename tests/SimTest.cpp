@@ -10,10 +10,13 @@
 #include "sim/Machine.h"
 #include "sim/Simulation.h"
 #include "sim/SystemMonitor.h"
+#include "workload/Catalog.h"
 #include "workload/Program.h"
+#include "workload/ThreadPattern.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -22,39 +25,88 @@ using namespace medley::sim;
 
 namespace {
 
-/// Minimal task: fixed thread count, accumulates received CPU time.
+/// Minimal task: fixed thread count, accumulates received CPU time. It
+/// publishes no region, so it takes the slow path every tick.
 class StubTask : public Task {
 public:
   StubTask(std::string Name, unsigned Threads, double Demand = 0.0,
            double WorkingSet = 100.0, double WorkNeeded = 1e18)
-      : Name(std::move(Name)), Threads(Threads), Demand(Demand),
-        WorkingSet(WorkingSet), WorkNeeded(WorkNeeded) {}
+      : Name(std::move(Name)), Threads(Threads), WorkNeeded(WorkNeeded) {
+    State.Threads = Threads;
+    State.MemoryDemand = Demand;
+    State.WorkingSetMb = WorkingSet;
+  }
 
   const std::string &name() const override { return Name; }
-  unsigned activeThreads() const override { return Done ? 0 : Threads; }
-  double memoryDemand() const override { return Demand; }
-  double workingSetMb() const override { return WorkingSet; }
-  bool finished() const override { return Done; }
 
   void step(double Dt, const CpuAllocation &Allocation) override {
     LastAllocation = Allocation;
     ++Steps;
     WorkDone += Dt * Allocation.CpuShare * Threads;
-    if (WorkDone >= WorkNeeded)
-      Done = true;
+    if (WorkDone >= WorkNeeded) {
+      State.Finished = true;
+      State.Threads = 0;
+    }
   }
 
   CpuAllocation LastAllocation;
   size_t Steps = 0;
   double WorkDone = 0.0;
 
+protected:
+  double activeRate(const CpuAllocation &) const override { return 0.0; }
+
 private:
   std::string Name;
   unsigned Threads;
-  double Demand;
-  double WorkingSet;
   double WorkNeeded;
-  bool Done = false;
+};
+
+/// A stub whose memory demand jumps to \p Later on its first step, with
+/// its thread count, working set and finished flag unchanged.
+class DemandJumpTask : public StubTask {
+public:
+  DemandJumpTask(unsigned Threads, double Later)
+      : StubTask("jump", Threads), Later(Later) {}
+
+  void step(double Dt, const CpuAllocation &Allocation) override {
+    StubTask::step(Dt, Allocation);
+    State.MemoryDemand = Later;
+  }
+
+private:
+  double Later;
+};
+
+/// Forwards step() to a program and publishes the program's scheduling
+/// quantities, but never an active region, so the simulator takes the
+/// slow path for it on every tick.
+class SlowPathTask : public Task {
+public:
+  explicit SlowPathTask(std::shared_ptr<workload::Program> Inner)
+      : Inner(std::move(Inner)) {
+    publish();
+  }
+
+  const std::string &name() const override { return Inner->name(); }
+
+  void step(double Dt, const CpuAllocation &Allocation) override {
+    Inner->step(Dt, Allocation);
+    publish();
+  }
+
+protected:
+  double activeRate(const CpuAllocation &) const override { return 0.0; }
+
+private:
+  void publish() {
+    State.Threads = Inner->activeThreads();
+    State.MemoryDemand = Inner->memoryDemand();
+    State.WorkingSetMb = Inner->workingSetMb();
+    State.Finished = Inner->finished();
+  }
+
+  std::shared_ptr<workload::Program> Inner;
 };
 
 /// A program whose single region never completes within a test, run with
@@ -383,6 +435,76 @@ TEST(SimulationTest, MovedProgramTakesTheNewSimulationsRate) {
   double Rate = workload::regionRate(Region, 16, There);
   ASSERT_NE(Rate, workload::regionRate(Region, 16, Here));
   EXPECT_EQ(Prog->workCompleted(), Before + Rate * B.tick());
+}
+
+TEST(SimulationTest, SteadyPassMatchesTheSlowPathBitwise) {
+  // The same three programs run twice: advanced in place by the steady
+  // pass, and wrapped so that every tick takes the slow path through
+  // Program::step. A target whose thread count follows the environment
+  // and two pattern-driven looping workloads share a machine whose cores
+  // change every 10 s, so rates move while regions are running.
+  auto Programs = [] {
+    workload::ThreadChooser FollowEnv = [](const workload::RegionContext &C) {
+      return static_cast<unsigned>(
+          std::max(1.0, C.Env.Processors - C.Env.WorkloadThreads));
+    };
+    return std::vector<std::shared_ptr<workload::Program>>{
+        std::make_shared<workload::Program>(
+            workload::Catalog::byName("cg"), FollowEnv, 32),
+        std::make_shared<workload::Program>(
+            workload::Catalog::byName("bt"),
+            workload::ThreadPattern::makeChooser(7, 2, 24, 5.0), 32, true),
+        std::make_shared<workload::Program>(
+            workload::Catalog::byName("is"),
+            workload::ThreadPattern::makeChooser(8, 2, 24, 5.0), 32, true)};
+  };
+  MachineConfig M = MachineConfig::evaluationPlatform();
+  Simulation SteadySim(M, PeriodicAvailability::standardLadder(32, 10.0, 5));
+  Simulation SlowSim(M, PeriodicAvailability::standardLadder(32, 10.0, 5));
+  auto Steady = Programs();
+  auto Slow = Programs();
+  for (size_t I = 0; I < Steady.size(); ++I) {
+    SteadySim.addTask(Steady[I]);
+    SlowSim.addTask(std::make_shared<SlowPathTask>(Slow[I]));
+  }
+  for (int Tick = 0; Tick < 3000; ++Tick) {
+    SteadySim.step();
+    SlowSim.step();
+  }
+
+  ASSERT_TRUE(Steady[0]->finished());
+  auto Bits = [](double V) { return std::bit_cast<uint64_t>(V); };
+  for (size_t I = 0; I < Steady.size(); ++I) {
+    SCOPED_TRACE(Steady[I]->name());
+    EXPECT_GT(Steady[I]->regionsExecuted(), 0u);
+    EXPECT_EQ(Bits(Steady[I]->workCompleted()), Bits(Slow[I]->workCompleted()));
+    EXPECT_EQ(Steady[I]->regionsExecuted(), Slow[I]->regionsExecuted());
+    EXPECT_EQ(Bits(Steady[I]->completionTime()),
+              Bits(Slow[I]->completionTime()));
+  }
+  Vec SteadyEnv = SteadySim.monitor().sample().toVec();
+  Vec SlowEnv = SlowSim.monitor().sample().toVec();
+  ASSERT_EQ(SteadyEnv.size(), SlowEnv.size());
+  for (size_t K = 0; K < SteadyEnv.size(); ++K)
+    EXPECT_EQ(Bits(SteadyEnv[K]), Bits(SlowEnv[K])) << "env field " << K;
+}
+
+TEST(SimulationTest, DemandChangeAloneMovesTheNextMemFactor) {
+  // A slow step that keeps the thread count but raises the memory demand
+  // past the bandwidth: the next tick's allocation must carry the new
+  // contention factor.
+  MachineConfig M = MachineConfig::evaluationPlatform();
+  Simulation Sim(M, std::make_unique<StaticAvailability>(32));
+  auto T = std::make_shared<DemandJumpTask>(8, 2.0 * M.MemoryBandwidth);
+  Sim.addTask(T);
+  Sim.step();
+  ASSERT_DOUBLE_EQ(T->LastAllocation.MemFactor, 1.0);
+  ASSERT_EQ(T->activeThreads(), 8u);
+  Sim.step();
+  EXPECT_NEAR(T->LastAllocation.MemFactor,
+              std::min(std::pow(2.0, M.MemContentionExponent),
+                       M.MemFactorCap),
+              1e-9);
 }
 
 TEST(SimulationTest, AffinityReducesMemoryPenalty) {

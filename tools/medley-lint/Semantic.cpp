@@ -717,15 +717,16 @@ bool medley::lint::isDecisionEntry(const CallGraph::Node &N) {
     return N.Name == "observe";
   if (N.Class == "LiveMixture")
     return N.Name == "select";
-  // The SoA tick kernels: the per-tick column reductions and the steady
-  // fast path run once per simulated tick, so any allocation reachable
-  // from them multiplies by the tick count. Arena-backed staging (the
-  // amortized chunk growth inside support::Arena and the sticky column
+  // The tick kernels: the per-tick reductions, the table compaction and
+  // the steady pass's rate refresh (Task::refreshRate and the activeRate
+  // it dispatches to) run once per simulated tick, so any allocation
+  // reachable from them multiplies by the tick count. Arena-backed staging
+  // (the amortized chunk growth inside support::Arena and the sticky
   // growth in TaskTable::adopt) carries explicit allow(hotpath-escape)
   // rationales at the allocation sites instead of an entry-list carve-out.
   if (N.Class == "TaskTable")
-    return N.Name == "refresh" || N.Name == "compact";
-  if (N.Name == "stepSteady" || N.Name == "cachedRegionRate")
+    return N.Name == "compact";
+  if (N.Name == "refreshRate" || N.Name == "activeRate")
     return true;
   // The fleet engine's steady tick loop (DESIGN.md §16): stepShard runs
   // once per shard per tick over 10^5+ tenants, so it inherits the

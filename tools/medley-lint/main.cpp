@@ -34,11 +34,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "medley-lint/Semantic.h"
+#include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -154,11 +157,12 @@ int main(int Argc, char **Argv) {
       std::string N;
       if (!Value(N))
         return usage("--jobs needs a count");
-      try {
-        Opts.Jobs = static_cast<unsigned>(std::stoul(N));
-      } catch (...) {
-        return usage("--jobs needs a positive integer");
-      }
+      // 0 keeps the default worker count.
+      std::optional<uint64_t> Jobs = medley::parseUnsigned(
+          N, 0, medley::support::ThreadPool::maxSaneJobs());
+      if (!Jobs)
+        return usage("invalid value '" + N + "' for --jobs");
+      Opts.Jobs = static_cast<unsigned>(*Jobs);
     } else if (Arg == "--no-semantic") {
       Opts.Semantic = false;
     } else if (Arg == "--help" || Arg == "-h") {
