@@ -8,8 +8,9 @@
 /// The two-phase semantic analyzer (DESIGN.md §12, §15): call-graph
 /// linking and name resolution, the L7–L9 interprocedural rules and the
 /// L10–L12 flow-sensitive rules on in-process snippets,
-/// schedule-independence of the linked graph, the incremental cache and
-/// its analyzer/rule-catalog fingerprint, baseline-key escaping and
+/// schedule-independence of the linked graph, the incremental cache
+/// (its analyzer/rule-catalog fingerprint, per-record misses, pruning
+/// and the skipped rewrite of a fully warm run), baseline-key escaping and
 /// stale-entry tracking, multi-line allow coverage, and CLI runs over
 /// the seeded known-bad fixture trees.
 ///
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -786,6 +788,197 @@ TEST(CacheFingerprintTest, FingerprintBumpInvalidatesWarmEntries) {
   // And the bumped fingerprint is itself cached: the next run is warm.
   AnalyzeResult Rewarm = analyzeSources(Files, Opts);
   EXPECT_EQ(Rewarm.CacheHits, Files.size());
+
+  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Cache records: per-record misses, pruning, no identical rewrite
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::filesystem::path freshDir(const std::string &Name) {
+  std::filesystem::path Dir = std::filesystem::path(::testing::TempDir()) / Name;
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
+
+/// Three files, each with one function and one token finding.
+std::vector<SourceFile> threeCachedFiles() {
+  std::vector<SourceFile> Files;
+  for (int I = 0; I < 3; ++I) {
+    std::string N = std::to_string(I);
+    Files.push_back({"src/core/F" + N + ".cpp",
+                     "bool eq" + N + "(double X) { return X == 1.0; }\n"});
+  }
+  return Files;
+}
+
+std::vector<std::string> readLines(const std::filesystem::path &P) {
+  std::ifstream In(P, std::ios::binary);
+  std::vector<std::string> Lines;
+  std::string Line;
+  while (std::getline(In, Line))
+    Lines.push_back(Line);
+  return Lines;
+}
+
+void writeLines(const std::filesystem::path &P,
+                const std::vector<std::string> &Lines) {
+  std::ofstream Out(P, std::ios::binary | std::ios::trunc);
+  for (const std::string &Line : Lines)
+    Out << Line << "\n";
+}
+
+std::vector<std::string> splitTabs(const std::string &Line) {
+  std::vector<std::string> Fields(1);
+  for (char C : Line) {
+    if (C == '\t')
+      Fields.emplace_back();
+    else
+      Fields.back() += C;
+  }
+  return Fields;
+}
+
+std::string joinTabs(const std::vector<std::string> &Fields) {
+  std::string Out;
+  for (size_t I = 0; I < Fields.size(); ++I)
+    Out += (I ? "\t" : "") + Fields[I];
+  return Out;
+}
+
+/// Index of the `F` line of \p File's record.
+size_t recordStart(const std::vector<std::string> &Lines,
+                   const std::string &File) {
+  for (size_t I = 0; I < Lines.size(); ++I)
+    if (Lines[I].rfind("F\t" + File + "\t", 0) == 0)
+      return I;
+  ADD_FAILURE() << "no record for " << File;
+  return Lines.size();
+}
+
+/// Index of the first line of \p File's record that begins with \p Tag.
+size_t recordLine(const std::vector<std::string> &Lines,
+                  const std::string &File, const std::string &Tag) {
+  for (size_t I = recordStart(Lines, File) + 1;
+       I < Lines.size() && Lines[I].rfind("F\t", 0) != 0; ++I)
+    if (Lines[I].rfind(Tag + "\t", 0) == 0)
+      return I;
+  ADD_FAILURE() << "no " << Tag << " line in the record for " << File;
+  return 0;
+}
+
+} // namespace
+
+TEST(CacheRecordTest, CorruptRecordDegradesOnlyItsOwnFile) {
+  std::filesystem::path Dir = freshDir("medley_cache_corrupt_record");
+  std::filesystem::path Cache = Dir / "cache.txt";
+  std::vector<SourceFile> Files = threeCachedFiles();
+  const std::string Victim = Files[1].Path;
+
+  const std::string Expected =
+      messagesOf(analyzeSources(Files, AnalyzeOptions()).Findings);
+  ASSERT_FALSE(Expected.empty());
+  AnalyzeOptions Opts;
+  Opts.CachePath = Cache.string();
+  ASSERT_EQ(analyzeSources(Files, Opts).CacheHits, 0u);
+  ASSERT_EQ(analyzeSources(Files, Opts).CacheHits, Files.size());
+  const std::vector<std::string> Warm = readLines(Cache);
+
+  // Each corruption touches the victim's record body only: that one file
+  // is analysed again, the others still hit, the report equals a
+  // cache-less run's, and the rewrite restores the warm cache.
+  std::vector<std::pair<std::string, std::vector<std::string>>> Corrupt;
+  {
+    // An `N` line that promises one more call site than the record holds.
+    std::vector<std::string> Lines = Warm;
+    size_t N = recordLine(Lines, Victim, "N");
+    std::vector<std::string> F = splitTabs(Lines[N]);
+    ASSERT_EQ(F.size(), 20u);
+    F[8] = std::to_string(std::stoul(F[8]) + 1);
+    Lines[N] = joinTabs(F);
+    Corrupt.emplace_back("call count", Lines);
+  }
+  {
+    // A token finding whose line number is not a number.
+    std::vector<std::string> Lines = Warm;
+    size_t G = recordLine(Lines, Victim, "g");
+    std::vector<std::string> F = splitTabs(Lines[G]);
+    F[2] = "one";
+    Lines[G] = joinTabs(F);
+    Corrupt.emplace_back("finding line", Lines);
+  }
+  {
+    // A well-formed index whose path names another file.
+    std::vector<std::string> Lines = Warm;
+    size_t I = recordLine(Lines, Victim, "I");
+    std::vector<std::string> F = splitTabs(Lines[I]);
+    F[1] = "src/core/Other.cpp";
+    Lines[I] = joinTabs(F);
+    Corrupt.emplace_back("index path", Lines);
+  }
+  {
+    // A stray line between the record's end and the next record.
+    std::vector<std::string> Lines = Warm;
+    size_t Next = recordStart(Lines, Files[2].Path);
+    Lines.insert(Lines.begin() + static_cast<std::ptrdiff_t>(Next),
+                 "q\tstray\t1");
+    Corrupt.emplace_back("trailing line", Lines);
+  }
+  for (const auto &[What, Lines] : Corrupt) {
+    SCOPED_TRACE(What);
+    writeLines(Cache, Lines);
+    AnalyzeResult Degraded = analyzeSources(Files, Opts);
+    EXPECT_EQ(Degraded.CacheHits, Files.size() - 1);
+    EXPECT_EQ(messagesOf(Degraded.Findings), Expected);
+    EXPECT_EQ(readLines(Cache), Warm);
+    EXPECT_EQ(analyzeSources(Files, Opts).CacheHits, Files.size());
+  }
+
+  // A corrupt header or `F` line still empties the whole cache.
+  std::vector<std::string> BadHeader = Warm;
+  BadHeader[0] = "medley-lint-cache";
+  std::vector<std::string> BadF = Warm;
+  size_t FLine = recordStart(BadF, Victim);
+  std::vector<std::string> F = splitTabs(BadF[FLine]);
+  F[2] = "not-a-hash";
+  BadF[FLine] = joinTabs(F);
+  for (const std::vector<std::string> &Lines : {BadHeader, BadF}) {
+    writeLines(Cache, Lines);
+    AnalyzeResult Cold = analyzeSources(Files, Opts);
+    EXPECT_EQ(Cold.CacheHits, 0u);
+    EXPECT_EQ(messagesOf(Cold.Findings), Expected);
+    EXPECT_EQ(readLines(Cache), Warm);
+  }
+
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(CacheRecordTest, RunOverFewerFilesPrunesTheCache) {
+  std::filesystem::path Dir = freshDir("medley_cache_prune");
+  std::filesystem::path Cache = Dir / "cache.txt";
+  std::vector<SourceFile> Files = threeCachedFiles();
+  AnalyzeOptions Opts;
+  Opts.CachePath = Cache.string();
+  ASSERT_EQ(analyzeSources(Files, Opts).CacheHits, 0u);
+
+  // A fully warm run leaves the cache file untouched: backdate it and
+  // check that the run did not write it again.
+  std::filesystem::last_write_time(
+      Cache, std::filesystem::last_write_time(Cache) - std::chrono::hours(1));
+  const auto Backdated = std::filesystem::last_write_time(Cache);
+  EXPECT_EQ(analyzeSources(Files, Opts).CacheHits, Files.size());
+  EXPECT_EQ(std::filesystem::last_write_time(Cache), Backdated);
+
+  // Dropping a file rewrites the cache without its entry...
+  std::vector<SourceFile> Two = {Files[0], Files[2]};
+  EXPECT_EQ(analyzeSources(Two, Opts).CacheHits, 2u);
+  // ...so bringing it back is a miss for that file alone.
+  EXPECT_EQ(analyzeSources(Files, Opts).CacheHits, 2u);
+  EXPECT_EQ(analyzeSources(Files, Opts).CacheHits, Files.size());
 
   std::filesystem::remove_all(Dir);
 }

@@ -8,6 +8,7 @@
 #include "medley-lint/Internal.h"
 #include "support/Fnv.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -53,70 +54,72 @@ unsigned long long medley::lint::cacheFingerprint(const std::string &Salt) {
   return support::fnv1aString(Ident);
 }
 
-void LintCache::load(const std::string &Path) {
-  Entries.clear();
+bool LintCache::load(const std::string &Path) {
+  Records.clear();
+  Data.clear();
   std::ifstream In(Path, std::ios::binary);
   if (!In)
-    return;
+    return false;
   std::ostringstream Buf;
   Buf << In.rdbuf();
-  std::string Data = Buf.str();
+  Data = Buf.str();
 
   size_t Pos = 0;
   std::vector<std::string> F;
   if (!readTsvLine(Data, Pos, F) || F.size() != 2 || F[0] != CacheHeader ||
-      F[1] != std::to_string(Fingerprint))
-    return;
-  while (Pos < Data.size()) {
-    if (!readTsvLine(Data, Pos, F) || F.size() != 4 || F[0] != "F") {
-      Entries.clear();
-      return;
-    }
-    std::string FilePath = F[1];
-    CacheEntry E;
-    unsigned NumFindings = 0;
-    if (!parseU64(F[2], E.Hash) || !parseUnsignedField(F[3], NumFindings)) {
-      Entries.clear();
-      return;
-    }
-    for (unsigned I = 0; I < NumFindings; ++I) {
-      Finding G;
-      if (!readTsvLine(Data, Pos, F) || F.size() != 7 || F[0] != "g" ||
-          !parseUnsignedField(F[2], G.Line) ||
-          !parseUnsignedField(F[3], G.Col)) {
-        Entries.clear();
-        return;
-      }
-      G.File = F[1];
-      G.Rule = F[4];
-      G.Message = F[5];
-      G.SourceLine = F[6];
-      E.TokenFindings.push_back(std::move(G));
-    }
-    if (!deserializeFileIndex(Data, Pos, E.Index) ||
-        E.Index.Path != FilePath) {
-      Entries.clear();
-      return;
-    }
-    Entries[FilePath] = std::move(E);
-  }
-}
-
-bool LintCache::lookup(const std::string &File, unsigned long long Hash,
-                       CacheEntry &Out) const {
-  auto It = Entries.find(File);
-  if (It == Entries.end() || It->second.Hash != Hash)
+      F[1] != std::to_string(Fingerprint)) {
+    Data.clear();
     return false;
-  Out = It->second;
+  }
+  // Fields are escaped, so no raw tab or newline sits inside one: a
+  // record starts at, and only at, a line that begins with "F\t".
+  while (Pos < Data.size()) {
+    Record Rec;
+    if (!readTsvLine(Data, Pos, F) || F.size() != 4 || F[0] != "F" ||
+        !parseU64(F[2], Rec.Hash) ||
+        !parseUnsignedField(F[3], Rec.NumFindings) ||
+        (!Records.empty() && F[1] <= Records.rbegin()->first)) {
+      Records.clear();
+      Data.clear();
+      return false;
+    }
+    Rec.Begin = std::min(Pos, Data.size());
+    size_t Next = Data.find("\nF\t", Rec.Begin - 1);
+    Rec.End = Next == std::string::npos ? Data.size() : Next + 1;
+    Pos = Rec.End;
+    Records.emplace_hint(Records.end(), std::move(F[1]), Rec);
+  }
   return true;
 }
 
-void LintCache::put(CacheEntry E) {
-  std::string Key = E.Index.Path;
-  Entries[Key] = std::move(E);
+bool LintCache::lookup(const std::string &File, unsigned long long Hash,
+                       std::vector<Finding> &TokenFindings,
+                       FileIndex &Index) const {
+  auto It = Records.find(File);
+  if (It == Records.end() || It->second.Hash != Hash)
+    return false;
+  const Record &Rec = It->second;
+  size_t Pos = Rec.Begin;
+  std::vector<std::string> F;
+  TokenFindings.clear();
+  for (unsigned I = 0; I < Rec.NumFindings; ++I) {
+    Finding G;
+    if (!readTsvLine(Data, Pos, F) || F.size() != 7 || F[0] != "g" ||
+        !parseUnsignedField(F[2], G.Line) ||
+        !parseUnsignedField(F[3], G.Col))
+      return false;
+    G.File = std::move(F[1]);
+    G.Rule = std::move(F[4]);
+    G.Message = std::move(F[5]);
+    G.SourceLine = std::move(F[6]);
+    TokenFindings.push_back(std::move(G));
+  }
+  return deserializeFileIndex(Data, Pos, Index) && Index.Path == File &&
+         Pos == Rec.End;
 }
 
-bool LintCache::save(const std::string &Path) const {
+bool LintCache::save(const std::string &Path,
+                     const std::map<std::string, CacheEntry> &Entries) const {
   std::string Out;
   appendTsvLine(Out, {CacheHeader, std::to_string(Fingerprint)});
   for (const auto &[FilePath, E] : Entries) {

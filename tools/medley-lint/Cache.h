@@ -10,9 +10,12 @@
 /// token findings, and the serialized FileIndex. A warm run re-hashes
 /// each file (cheap) and skips lexing/rule-running/indexing on a hit;
 /// phase 2 always re-links, so interprocedural results stay correct
-/// when *other* files changed. The cache file is rewritten wholesale
-/// after each run, which prunes entries for deleted files; a version
-/// header invalidates everything when the format or rule set moves.
+/// when *other* files changed. load() only indexes the records; a hit
+/// parses its one record on lookup, inside phase 1's parallel loop.
+/// analyzeSources() rewrites the whole file only when its content would
+/// change (a file changed, appeared or vanished, or a record was
+/// unreadable), which prunes entries for deleted files; a version header
+/// invalidates everything when the format or rule set moves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,8 +41,8 @@ struct CacheEntry {
 };
 
 /// The cache as a whole. Thread-safety contract: lookup() is const and
-/// safe to call concurrently once load() finished; put()/save() are
-/// single-threaded (the driver calls them after the parallel phase).
+/// safe to call concurrently once load() finished; load()/save() are
+/// single-threaded.
 class LintCache {
 public:
   /// Sets the analyzer fingerprint checked by load() and written by
@@ -47,26 +50,40 @@ public:
   /// fingerprint are ignored wholesale.
   void setFingerprint(unsigned long long F) { Fingerprint = F; }
 
-  /// Reads \p Path; a missing, unreadable, version- or
-  /// fingerprint-mismatched file just leaves the cache empty (a cold
-  /// run).
-  void load(const std::string &Path);
+  /// Reads \p Path and indexes its records (path, hash, byte range)
+  /// without parsing their bodies. Returns false, leaving the cache
+  /// empty (a cold run), when the file is missing or unreadable, its
+  /// version or fingerprint does not match, or an `F` line is malformed
+  /// or out of save()'s path order.
+  bool load(const std::string &Path);
 
-  /// On a hit (\p File present with matching \p Hash) copies the entry
-  /// into \p Out and returns true.
+  /// On a hit (\p File present with matching \p Hash) parses that one
+  /// record straight into \p TokenFindings and \p Index and returns
+  /// true. A record that fails to parse, names another index path or
+  /// does not end where the next record begins is a miss; on a miss
+  /// the outputs hold no meaningful value.
   bool lookup(const std::string &File, unsigned long long Hash,
-              CacheEntry &Out) const;
+              std::vector<Finding> &TokenFindings, FileIndex &Index) const;
 
-  /// Inserts/replaces the entry for E.Index.Path.
-  void put(CacheEntry E);
+  /// Records load() indexed, one per path.
+  size_t size() const { return Records.size(); }
 
-  /// Writes every entry, sorted by path. Returns false on IO error.
-  bool save(const std::string &Path) const;
-
-  size_t size() const { return Entries.size(); }
+  /// Writes \p Entries, one record each in path order, under this
+  /// cache's fingerprint. Returns false on IO error.
+  bool save(const std::string &Path,
+            const std::map<std::string, CacheEntry> &Entries) const;
 
 private:
-  std::map<std::string, CacheEntry> Entries;
+  /// One indexed record: the body follows its `F` line and ends where
+  /// the next record begins.
+  struct Record {
+    unsigned long long Hash = 0;
+    unsigned NumFindings = 0;
+    size_t Begin = 0, End = 0; ///< Body byte range in Data.
+  };
+
+  std::string Data; ///< The loaded file; records point into it.
+  std::map<std::string, Record> Records;
   unsigned long long Fingerprint = 0;
 };
 

@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <set>
+#include <string_view>
 #include <tuple>
 
 using namespace medley::lint;
@@ -760,14 +762,12 @@ AnalyzeResult medley::lint::analyzeSources(const std::vector<SourceFile> &Files,
 
   LintCache Cache;
   Cache.setFingerprint(cacheFingerprint(Opts.FingerprintSalt));
-  if (!Opts.CachePath.empty())
-    Cache.load(Opts.CachePath);
+  bool Loaded = !Opts.CachePath.empty() && Cache.load(Opts.CachePath);
 
-  struct PerFile {
-    std::vector<Finding> Findings;
-    FileIndex Index;
-  };
-  std::vector<PerFile> Results(Files.size());
+  // One slot per file. Phase 1 writes each index where the link reads
+  // it, so no index is copied between the phases.
+  std::vector<std::vector<Finding>> TokenFindings(Files.size());
+  std::vector<FileIndex> Indexes(Files.size());
   std::vector<unsigned long long> Hashes(Files.size(), 0);
   std::atomic<size_t> Hits{0};
 
@@ -778,26 +778,19 @@ AnalyzeResult medley::lint::analyzeSources(const std::vector<SourceFile> &Files,
   Pool.parallelFor(Files.size(), [&](size_t I) {
     const SourceFile &SF = Files[I];
     Hashes[I] = support::fnv1aString(SF.Source);
-    CacheEntry Hit;
-    if (Cache.lookup(SF.Path, Hashes[I], Hit)) {
-      Results[I].Findings = std::move(Hit.TokenFindings);
-      Results[I].Index = std::move(Hit.Index);
+    if (Cache.lookup(SF.Path, Hashes[I], TokenFindings[I], Indexes[I])) {
       Hits.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Results[I].Findings = lintSource(SF.Path, SF.Source);
-    Results[I].Index = buildFileIndex(SF.Path, SF.Source);
+    TokenFindings[I] = lintSource(SF.Path, SF.Source);
+    Indexes[I] = buildFileIndex(SF.Path, SF.Source);
   });
   R.CacheHits = Hits.load();
 
-  for (PerFile &P : Results)
-    R.Findings.insert(R.Findings.end(), P.Findings.begin(), P.Findings.end());
+  for (const std::vector<Finding> &Fs : TokenFindings)
+    R.Findings.insert(R.Findings.end(), Fs.begin(), Fs.end());
 
   if (Opts.Semantic) {
-    std::vector<FileIndex> Indexes;
-    Indexes.reserve(Results.size());
-    for (const PerFile &P : Results)
-      Indexes.push_back(P.Index);
     R.Graph = linkCallGraph(Indexes);
     std::vector<Finding> Semantic = runSemanticRules(R.Graph);
     R.Findings.insert(R.Findings.end(), Semantic.begin(), Semantic.end());
@@ -809,18 +802,22 @@ AnalyzeResult medley::lint::analyzeSources(const std::vector<SourceFile> &Files,
                      std::tie(B.File, B.Line, B.Col, B.Rule, B.Message);
             });
 
-  if (!Opts.CachePath.empty()) {
-    LintCache Fresh; // Full rewrite: entries for vanished files age out.
-    Fresh.setFingerprint(cacheFingerprint(Opts.FingerprintSalt));
-    for (size_t I = 0; I < Files.size(); ++I) {
-      CacheEntry E;
-      E.Hash = Hashes[I];
-      E.TokenFindings = std::move(Results[I].Findings);
-      E.Index = std::move(Results[I].Index);
-      Fresh.put(std::move(E));
-    }
-    Fresh.save(Opts.CachePath);
+  if (Opts.CachePath.empty())
+    return R;
+  // When every file hit and the cache holds no other path, the rewrite
+  // would carry exactly the entries just read: keep the file as it is.
+  if (Loaded && R.CacheHits == Files.size()) {
+    std::set<std::string_view> Paths;
+    for (const SourceFile &SF : Files)
+      Paths.insert(SF.Path);
+    if (Paths.size() == Cache.size())
+      return R;
   }
-
+  // Otherwise a full rewrite: entries for vanished files age out.
+  std::map<std::string, CacheEntry> Entries;
+  for (size_t I = 0; I < Files.size(); ++I)
+    Entries[Files[I].Path] = {Hashes[I], std::move(TokenFindings[I]),
+                              std::move(Indexes[I])};
+  Cache.save(Opts.CachePath, Entries);
   return R;
 }

@@ -94,9 +94,10 @@ bool isDecisionEntry(const CallGraph::Node &N);
 std::vector<Finding> runSemanticRules(const CallGraph &G);
 
 /// The whole pipeline: parallel phase 1 (token rules + indexing, cache
-/// reuse by content hash), deterministic link, phase 2. Rewrites the
-/// cache file afterwards when a cache path is set (a full rewrite, so
-/// entries for deleted files age out).
+/// reuse by content hash), deterministic link, phase 2. When a cache
+/// path is set and a file changed, appeared or vanished since the cache
+/// was written, rewrites the whole cache file afterwards, so entries for
+/// deleted files age out; a fully warm run leaves the file untouched.
 AnalyzeResult analyzeSources(const std::vector<SourceFile> &Files,
                              const AnalyzeOptions &Opts);
 
