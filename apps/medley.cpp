@@ -16,18 +16,10 @@
 //       the decision timeline.
 //   medley experts [--num 4]
 //       The trained experts: split, sample counts, weights.
-//   medley lifecycle --target cg --workload bt,is [--retrain-window 512]
-//                    [--canary-fraction 1.0] [--rollback-strikes 3]
-//       The hot expert lifecycle end to end: a baseline run records a
-//       trace, a background worker refits the experts from it, and a
-//       second run drives the candidate through shadow -> canary ->
-//       promote (or auto-rollback) against the live registry.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/ExpertIo.h"
-#include "core/ExpertTrainer.h"
-#include "core/LiveMixture.h"
 #include "support/ThreadPool.h"
 #include "exp/Driver.h"
 #include "exp/Fleet.h"
@@ -40,6 +32,7 @@
 #include "trace/Columnar.h"
 #include "workload/Catalog.h"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -96,8 +89,11 @@ public:
     return has(Key) ? parsed(Key, parseUnsigned(get(Key))) : Default;
   }
 
-  double getDouble(const std::string &Key, double Default) const {
-    return has(Key) ? parsed(Key, parseDouble(get(Key))) : Default;
+  /// --Key as a finite number in [Min, Max], or Default when absent.
+  double getDouble(const std::string &Key, double Default,
+                   double Min = std::numeric_limits<double>::lowest(),
+                   double Max = std::numeric_limits<double>::max()) const {
+    return has(Key) ? parsed(Key, parseDouble(get(Key), Min, Max)) : Default;
   }
 
 private:
@@ -139,8 +135,20 @@ exp::Scenario scenarioByName(const std::string &Name) {
   std::exit(1);
 }
 
+/// \p Name when PolicySet::factory accepts it; otherwise ends the program
+/// with an error, before anything is trained.
+std::string policyByName(const std::string &Name) {
+  const std::vector<std::string> &Names = exp::PolicySet::policyNames();
+  if (std::find(Names.begin(), Names.end(), Name) != Names.end())
+    return Name;
+  std::cerr << "unknown policy '" << Name << "' (try: " << join(Names, ", ")
+            << ")\n";
+  std::exit(1);
+}
+
 int cmdList() {
-  std::cout << "policies:  default online offline analytic mixture\n";
+  std::cout << "policies:  " << join(exp::PolicySet::policyNames(), " ")
+            << '\n';
   std::cout << "scenarios: isolated/static";
   for (const exp::Scenario &S : exp::Scenario::dynamicScenarios())
     std::cout << ' ' << S.Name;
@@ -162,7 +170,7 @@ int cmdList() {
 
 int cmdSpeedup(const Args &A) {
   std::string Target = A.get("target", "cg");
-  std::string Policy = A.get("policy", "mixture");
+  std::string Policy = policyByName(A.get("policy", "mixture"));
   exp::Scenario Scen = scenarioByName(A.get("scenario", "large/low"));
   if (!workload::Catalog::contains(Target)) {
     std::cerr << "unknown target '" << Target << "'\n";
@@ -215,7 +223,7 @@ int writeTrace(const trace::TickTrace &Trace, const std::string &Path,
 
 int cmdCoexec(const Args &A) {
   std::string Target = A.get("target", "cg");
-  std::string Policy = A.get("policy", "mixture");
+  std::string Policy = policyByName(A.get("policy", "mixture"));
   std::vector<std::string> Workload =
       splitList(A.get("workload", "bt,is"));
   for (const std::string &Name : Workload)
@@ -225,11 +233,13 @@ int cmdCoexec(const Args &A) {
     }
 
   runtime::CoExecutionConfig Config;
-  unsigned Cores = A.getUnsigned("cores", 32);
+  // The availability ladder needs four cores, and walks its pattern once
+  // per period: a period below the simulator's tick would only spin.
+  unsigned Cores = A.getUnsigned("cores", 32, 4);
   Config.Machine = sim::MachineConfig::evaluationPlatform();
   Config.Machine.TotalCores = Cores;
   Config.Machine.MemoryBandwidth = 0.45 * Cores;
-  double Period = A.getDouble("period", 20.0);
+  double Period = A.getDouble("period", 20.0, Config.Tick);
   uint64_t Seed = A.getSeed("seed", 42);
   Config.Availability = [Cores, Period, Seed] {
     return sim::PeriodicAvailability::standardLadder(Cores, Period, Seed);
@@ -357,129 +367,17 @@ int cmdExperts(const Args &A) {
   return 0;
 }
 
-int cmdLifecycle(const Args &A) {
-  std::string Target = A.get("target", "cg");
-  std::vector<std::string> Workload = splitList(A.get("workload", "bt,is"));
-  if (!workload::Catalog::contains(Target)) {
-    std::cerr << "unknown target '" << Target << "'\n";
-    return 1;
-  }
-  for (const std::string &Name : Workload)
-    if (!workload::Catalog::contains(Name)) {
-      std::cerr << "unknown workload program '" << Name << "'\n";
-      return 1;
-    }
-
-  runtime::CoExecutionConfig Config;
-  unsigned Cores = A.getUnsigned("cores", 32);
-  Config.Machine = sim::MachineConfig::evaluationPlatform();
-  Config.Machine.TotalCores = Cores;
-  Config.Machine.MemoryBandwidth = 0.45 * Cores;
-  double Period = A.getDouble("period", 20.0);
-  uint64_t Seed = A.getSeed("seed", 42);
-  Config.Availability = [Cores, Period, Seed] {
-    return sim::PeriodicAvailability::standardLadder(Cores, Period, Seed);
-  };
-  Config.WorkloadSeed = Seed;
-  Config.WorkloadMaxThreads = std::max(2u, Cores * 5 / 16);
-  Config.RecordTraces = true;
-
-  core::RolloutOptions Rollout;
-  Rollout.ShadowWindow = A.getUnsigned("shadow-window", 128);
-  Rollout.PromoteFraction = A.getDouble("promote-fraction", 0.55);
-  Rollout.CanaryFraction = A.getDouble("canary-fraction", 1.0);
-  Rollout.CanaryWindow = A.getUnsigned("canary-window", 256);
-  Rollout.RollbackStrikes = A.getUnsigned("rollback-strikes", 3);
-  Rollout.DivergenceFactor = A.getDouble("divergence-factor", 3.0);
-  Rollout.AbsoluteErrorFloor = A.getDouble("error-floor", 0.5);
-  core::TrainerOptions TrainerOptions;
-  TrainerOptions.Window.Window = A.getUnsigned("retrain-window", 512);
-
-  exp::PolicySet &Policies = exp::PolicySet::instance();
-  auto Registry = Policies.liveRegistry();
-  support::FaultStats Faults;
-  auto Controller =
-      std::make_shared<core::RolloutController>(Registry, Rollout, &Faults);
-  auto Policy =
-      Policies.liveMixtureFactory(4, "regime", Controller, {}, &Faults)();
-
-  // Phase 1: baseline run under the seed snapshot, recording the trace the
-  // trainer will refit from.
-  runtime::CoExecutionResult Baseline =
-      runCoExecution(Config, workload::Catalog::byName(Target), *Policy,
-                     runtime::patternWorkload(Workload));
-  std::cout << "baseline (snapshot v" << Registry->epoch() << "): "
-            << formatDouble(Baseline.TargetTime, 1) << " s ("
-            << Baseline.TargetRegions << " regions, "
-            << Baseline.Trace.size() << " trace ticks)\n";
-
-  // Background refit from the recorded window; the candidate lands in the
-  // rollout mailbox through the thread-safe hand-off. The pool is drained
-  // (dtor) before phase 2 so the demo stays deterministic.
-  core::ExpertTrainer Trainer(TrainerOptions);
-  bool HaveCandidate = false;
-  {
-    support::ThreadPool Pool(1);
-    Trainer.retrainAsync(
-        Pool, Baseline.Trace, Registry->current(),
-        [&](std::optional<std::vector<core::Expert>> Candidate) {
-          if (Candidate) {
-            HaveCandidate = true;
-            Controller->submitCandidate(std::move(*Candidate));
-          }
-        });
-  }
-  if (!HaveCandidate) {
-    std::cout << "retrain: window too thin to refit any expert; "
-                 "no candidate staged\n";
-    return 0;
-  }
-  std::cout << "retrain: candidate from the last "
-            << TrainerOptions.Window.Window << "-tick window staged\n";
-
-  // Phase 2: the rollout run. The same policy instance keeps its selector
-  // state; the candidate shadow-scores, then (maybe) goes live as canary.
-  runtime::CoExecutionResult Live =
-      runCoExecution(Config, workload::Catalog::byName(Target), *Policy,
-                     runtime::patternWorkload(Workload));
-  Controller->maintain(); // Settle a verdict reached on the last decision.
-
-  auto &Mixture = static_cast<core::LiveMixture &>(*Policy);
-  std::cout << "rollout run: " << formatDouble(Live.TargetTime, 1) << " s ("
-            << Live.TargetRegions << " regions)\n";
-  std::cout << "  state: " << core::rolloutStateName(Controller->state())
-            << "  (promotions " << Controller->promotions() << ", rollbacks "
-            << Controller->rollbacks() << ", shadow rejects "
-            << Controller->shadowRejects() << ")\n";
-  std::cout << "  registry: v" << Registry->epoch() << " published, policy on v"
-            << Mixture.boundVersion() << " after " << Mixture.swaps()
-            << " swap(s)\n";
-
-  if (A.has("snapshot-out")) {
-    support::Error Err;
-    if (!core::saveSnapshotToFile(A.get("snapshot-out"),
-                                  *Registry->current(), &Err, nullptr,
-                                  &Faults)) {
-      std::cerr << Err.str() << '\n';
-      return 1;
-    }
-    std::cout << "  snapshot v" << Registry->epoch() << " -> "
-              << A.get("snapshot-out") << '\n';
-  }
-  return 0;
-}
-
 int cmdFleet(const Args &A) {
   exp::FleetScenarioConfig Config;
   Config.Shards = A.getUnsigned("shards", 16);
   Config.Tenants = A.getUnsigned("tenants", 10000);
   Config.Rounds = A.getUnsigned("rounds", 8);
-  Config.TicksPerRound = A.getUnsigned("ticks", 25);
-  Config.ChurnRate = A.getDouble("churn", 0.01);
+  Config.TicksPerRound = A.getUnsigned("ticks", 25, 1);
+  Config.ChurnRate = A.getDouble("churn", 0.01, 0.0, 1.0);
   Config.Seed = A.getSeed("seed", Config.Seed);
   Config.StormShards = A.getUnsigned("storm-shards", 0);
-  Config.Policy = A.get("policy", "mixture");
-  Config.TenantMaxThreads = A.getUnsigned("tenant-threads", 8);
+  Config.Policy = policyByName(A.get("policy", "mixture"));
+  Config.TenantMaxThreads = A.getUnsigned("tenant-threads", 8, 1);
   Config.Jobs =
       A.getUnsigned("jobs", 0, 0, support::ThreadPool::maxSaneJobs());
   if (Config.Shards == 0 || Config.Tenants == 0) {
@@ -549,14 +447,6 @@ void usage() {
          "                 (columnar binary trace -> CSV; stdout when "
          "--out is omitted)\n"
          "  medley experts [--num 4] [--save FILE | --load FILE]\n"
-         "  medley lifecycle --target cg --workload bt,is [--cores 32]\n"
-         "                 [--retrain-window 512] [--shadow-window 128]\n"
-         "                 [--promote-fraction 0.55] [--canary-fraction 1.0]\n"
-         "                 [--canary-window 256] [--rollback-strikes 3]\n"
-         "                 [--divergence-factor 3.0] [--error-floor 0.5]\n"
-         "                 [--snapshot-out FILE]\n"
-         "                 (baseline run -> background refit -> shadow/"
-         "canary rollout)\n"
          "  medley fleet   [--shards 16] [--tenants 10000] [--rounds 8]\n"
          "                 [--ticks 25] [--churn 0.01] [--storm-shards 0]\n"
          "                 [--policy mixture] [--tenant-threads 8]\n"
@@ -589,8 +479,6 @@ int main(int Argc, char **Argv) {
     return cmdTraceExport(A);
   if (Command == "experts")
     return cmdExperts(A);
-  if (Command == "lifecycle")
-    return cmdLifecycle(A);
   if (Command == "fleet")
     return cmdFleet(A);
   usage();

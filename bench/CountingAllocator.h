@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A counting replacement for the global operator new/delete, so a bench
-/// can assert how many heap allocations a steady-state tick, decision or
-/// acquire performs (the gates are zero). CountingAllocator.cpp replaces
+/// can assert how many heap allocations a steady-state tick or decision
+/// performs (the gates are zero). CountingAllocator.cpp replaces
 /// the allocator of every binary it is linked into, so it is linked only
 /// into the benches that gate allocation counts, never into BenchUtil.
 ///

@@ -16,7 +16,7 @@
 //
 // --smoke        tiny pass end-to-end; used by the `bench-smoke` ctest
 //                label as a fast check that the hot path still runs, and
-//                fails on any steady-tick or acquire heap allocation
+//                fails on any steady-tick heap allocation
 // --golden FILE  write the deterministic mixture decision sequence (one
 //                thread count per line) instead of timing; byte-comparing
 //                two builds' files proves the decision path unchanged
@@ -29,7 +29,6 @@
 #include "BenchUtil.h"
 #include "CountingAllocator.h"
 
-#include "core/ExpertRegistry.h"
 #include "core/ExpertSelector.h"
 #include "policy/Features.h"
 #include "runtime/CoExecution.h"
@@ -175,42 +174,6 @@ Rate timeMixture(policy::ThreadPolicy &Policy,
     Best = std::min(Best, Elapsed.count());
   }
   return rateOf(Best, Stream.size());
-}
-
-/// Times the steady-path registry acquire: after the first pin, every
-/// call is one atomic epoch load plus a compare, so this tracks the cost
-/// the lifecycle machinery adds to each decision epoch. Fastest sweep, as
-/// above.
-Rate timeRegistryAcquire(const core::ExpertRegistry &Registry, size_t Iters,
-                         int Sweeps, size_t &Checksum) {
-  core::ExpertRegistry::ReaderEpoch Reader;
-  double Best = std::numeric_limits<double>::infinity();
-  for (int Sweep = 0; Sweep < Sweeps; ++Sweep) {
-    auto Start = std::chrono::steady_clock::now();
-    for (size_t I = 0; I < Iters; ++I)
-      Checksum += Registry.acquire(Reader)->Version;
-    std::chrono::duration<double> Elapsed =
-        std::chrono::steady_clock::now() - Start;
-    Best = std::min(Best, Elapsed.count());
-  }
-  return rateOf(Best, Iters);
-}
-
-/// Heap allocations per steady-path acquire (the gate is zero): warmed
-/// reader, then a counted batch.
-size_t acquireAllocs(const core::ExpertRegistry &Registry) {
-  core::ExpertRegistry::ReaderEpoch Reader;
-  size_t Sink = 0;
-  for (int I = 0; I < 8; ++I)
-    Sink += Registry.acquire(Reader)->Version;
-  size_t Before = bench::allocationCount();
-  for (int I = 0; I < 1024; ++I)
-    Sink += Registry.acquire(Reader)->Version;
-  size_t Allocs = bench::allocationCount() - Before;
-  // Keep the loop honest without polluting the JSON.
-  if (Sink == 0)
-    std::cerr << "";
-  return Allocs / 1024;
 }
 
 runtime::CoExecutionConfig tickLoopConfig() {
@@ -437,25 +400,13 @@ int main(int Argc, char **Argv) {
             << padLeft(std::to_string(TickAllocs), 9)
             << " heap allocations\n";
 
-  // The lifecycle registry's steady acquire path (DESIGN.md §14.2).
-  auto Registry = exp::PolicySet::instance().liveRegistry();
-  Rate AcquireRate = timeRegistryAcquire(*Registry, StreamLen * 16,
-                                         SelectorSweeps, Checksum);
-  size_t AcquireAllocs = acquireAllocs(*Registry);
-  std::cout << "  " << padRight("registry", 11) << "  "
-            << padLeft(formatDouble(AcquireRate.NsPerOp, 1), 9)
-            << " ns/acquire   "
-            << padLeft(formatDouble(AcquireRate.OpsPerSec / 1e6, 2), 7)
-            << " Macquires/s  " << AcquireAllocs << " allocs/acquire\n";
-
   // Smoke runs are single noisy sweeps for sanitizer/CI coverage; writing
   // their numbers out would clobber the JSON the bench-compare gate reads.
   // Their allocation counts are exact, so they gate the zero-allocation
   // contract directly.
   if (Smoke) {
     std::cout << "\nsmoke run -- BENCH_hotpath.json not written\n";
-    bool ZeroAllocs = bench::zeroAllocations("steady tick", TickAllocs) &
-                      bench::zeroAllocations("acquire", AcquireAllocs);
+    bool ZeroAllocs = bench::zeroAllocations("steady tick", TickAllocs);
     return Checksum == 0 || !ZeroAllocs ? 1 : 0;
   }
 
@@ -476,9 +427,6 @@ int main(int Argc, char **Argv) {
        << ", \"ticks_per_sec\": " << TracedRate.OpsPerSec << "},\n"
        << "  \"sim_machinery\": {\"ns_per_tick\": " << MachineryRate.NsPerOp
        << ", \"ticks_per_sec\": " << MachineryRate.OpsPerSec << "},\n"
-       << "  \"registry\": {\"registry_acquire_ns\": " << AcquireRate.NsPerOp
-       << ", \"acquires_per_sec\": " << AcquireRate.OpsPerSec
-       << ", \"allocs_per_acquire\": " << AcquireAllocs << "},\n"
        << "  \"checksum\": " << Checksum << "\n}\n";
   std::cout << "\nwrote BENCH_hotpath.json\n";
   return Checksum == 0 ? 1 : 0;

@@ -612,20 +612,6 @@ void QuarantineSelector::reset() {
   States.assign(NumExperts, ExpertState());
 }
 
-void QuarantineSelector::readmitAll() {
-  // Rollback re-admission (DESIGN.md §14.5): strikes, quarantines and
-  // backoff accumulated under a bad snapshot must not leak into the next
-  // one — an expert that only diverged because its models were bad is
-  // healthy again the instant the pre-swap snapshot is restored. The
-  // inner selector is deliberately untouched: its learned partition is
-  // snapshot-independent gating state and survives the swap.
-  for (ExpertState &S : States) {
-    if (S.QuarantineRemaining > 0 && Stats)
-      ++Stats->Readmissions;
-    S = ExpertState();
-  }
-}
-
 std::unique_ptr<ExpertSelector> QuarantineSelector::clone() const {
   // Clones are per-run copies handed out by factories; they do not share
   // the (non-thread-safe) stats sink.

@@ -293,14 +293,6 @@ public:
   /// Number of experts currently selectable.
   size_t healthyCount() const;
 
-  /// Clears every expert's strike / quarantine / backoff state without
-  /// resetting the wrapped selector — the rollback re-admission hook:
-  /// after a bad snapshot is rolled back, experts that were only failing
-  /// under it start clean while the inner selector's learned gating
-  /// survives (contrast reset(), which rewinds both). Currently
-  /// quarantined experts count as re-admissions in the stats sink.
-  void readmitAll();
-
   const ExpertSelector &inner() const { return *Inner; }
 
 private:

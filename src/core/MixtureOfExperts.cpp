@@ -26,24 +26,18 @@ MixtureOfExperts::MixtureOfExperts(
          "selector arity must match the expert count");
   assert(!this->Stats || this->Stats->numExperts() == this->Experts->size());
 
-  bindExpertViews();
-}
-
-void MixtureOfExperts::bindExpertViews() {
-  const size_t K = Experts->size();
-  AnyEnvObserver = false;
+  const size_t K = this->Experts->size();
   PendingEnvPredictions.resize(K);
   ScratchErrors.resize(K);
   ScratchThreadPreds.resize(K);
 
   // Pack linear experts, at most the bank's lanes of them, into the
   // scoring bank; other sets (external experts, more than 8) are scored one
-  // by one. Swap boundary only: the ctor and rebindExperts reach here,
-  // never the steady decision path.
+  // by one.
   std::array<const LinearModel *, ExpertBank::MaxLanes> Thread{}, Env{};
   bool Linear = K <= ExpertBank::MaxLanes;
   for (size_t I = 0; I < K; ++I) {
-    const Expert &E = (*Experts)[I];
+    const Expert &E = (*this->Experts)[I];
     if (E.hasEnvObserver())
       AnyEnvObserver = true;
     Linear = Linear && E.threadModel() && E.envModel();
@@ -52,25 +46,8 @@ void MixtureOfExperts::bindExpertViews() {
       Env[I] = E.envModel();
     }
   }
-  if (!Linear || !Bank.pack(Thread.data(), Env.data(), K))
-    Bank.clear();
-}
-
-bool MixtureOfExperts::rebindExperts(
-    std::shared_ptr<const std::vector<Expert>> NewExperts) {
-  if (!NewExperts || NewExperts->size() != Experts->size())
-    return false;
-  Experts = std::move(NewExperts);
-  // Pending env predictions priced the previous expert set; judging the
-  // new experts against them would charge them for models they never ran.
-  HasPending = false;
-  bindExpertViews();
-  return true;
-}
-
-void MixtureOfExperts::readmitQuarantined() {
-  if (auto *Guarded = dynamic_cast<QuarantineSelector *>(Selector.get()))
-    Guarded->readmitAll();
+  if (Linear)
+    Bank.pack(Thread.data(), Env.data(), K);
 }
 
 unsigned

@@ -76,22 +76,7 @@ public:
   /// one by one (see the Bank member).
   bool banked() const { return Bank.lanes() != 0; }
 
-  /// Swaps in a new expert vector of the same arity while keeping the
-  /// selector's learned state — the registry swap boundary (DESIGN.md
-  /// §14): pending judgements are dropped (they priced the old experts)
-  /// and the scoring bank is repacked. Returns false (and changes
-  /// nothing) on an arity mismatch. Not part of the steady decision path.
-  bool rebindExperts(std::shared_ptr<const std::vector<Expert>> NewExperts);
-
-  /// Forwards rollback re-admission to a QuarantineSelector-wrapped
-  /// selector (no-op otherwise): strikes accumulated under a rolled-back
-  /// snapshot must not keep punishing experts under the restored one.
-  void readmitQuarantined();
-
 private:
-  /// (Re)derives the per-expert-set state — the scoring bank, the scratch
-  /// sizes and AnyEnvObserver — from the current experts.
-  void bindExpertViews();
   void judgePreviousDecision(const policy::FeatureVector &Features);
 
   /// Thread prediction of expert \p K for this decision: the bank's folded
@@ -117,7 +102,7 @@ private:
   size_t PendingChosen = 0;
   size_t LastExpert = 0;
 
-  // Per-decision scratch: sized per expert set in bindExpertViews (the
+  // Per-decision scratch: sized per expert in the constructor (the
   // selector sizes the weights), so the steady-state path never allocates.
   // Instances are per-worker (factory clones), so plain members need no
   // synchronisation.

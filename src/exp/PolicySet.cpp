@@ -6,7 +6,6 @@
 
 #include "exp/PolicySet.h"
 
-#include "core/LiveMixture.h"
 #include "policy/AnalyticPolicy.h"
 #include "policy/DefaultPolicy.h"
 #include "policy/OfflinePolicy.h"
@@ -142,36 +141,6 @@ policy::PolicyFactory PolicySet::singleExpertFactory(unsigned NumExperts,
   };
 }
 
-std::shared_ptr<core::ExpertRegistry> PolicySet::liveRegistry() {
-  if (!LiveRegistry) {
-    LiveRegistry = std::make_shared<core::ExpertRegistry>();
-    LiveRegistry->publish(experts(4), featureScaler(),
-                          selectorPrototype(4, "regime"));
-  }
-  return LiveRegistry;
-}
-
-policy::PolicyFactory PolicySet::liveMixtureFactory(
-    unsigned NumExperts, const std::string &SelectorKind,
-    std::shared_ptr<core::RolloutController> Rollout,
-    core::QuarantineOptions Quarantine, support::FaultStats *Faults,
-    std::shared_ptr<core::MoeStats> Stats) {
-  auto Registry = liveRegistry();
-  if (!Registry->current() ||
-      Registry->current()->numExperts() != NumExperts)
-    reportFatalError("live registry holds a different expert arity than "
-                     "the requested live-mixture factory");
-  auto Prototype = selectorPrototype(NumExperts, SelectorKind);
-  return [Registry, Prototype, Rollout, Quarantine, Faults, Stats]() {
-    auto Guarded = std::make_unique<core::QuarantineSelector>(
-        Prototype->clone(), Quarantine, Faults);
-    core::MixtureOptions Options;
-    Options.Faults = Faults;
-    return std::make_unique<core::LiveMixture>(
-        Registry, std::move(Guarded), Rollout, Stats, Options);
-  };
-}
-
 policy::PolicyFactory PolicySet::factory(const std::string &Name) {
   if (Name == "default")
     return [] { return std::make_unique<policy::DefaultPolicy>(); };
@@ -196,9 +165,13 @@ policy::PolicyFactory PolicySet::factory(const std::string &Name) {
     return mixtureFactory(4, "regime");
   if (Name == "mixture-hardened")
     return hardenedMixtureFactory(4, "regime");
-  if (Name == "mixture-live")
-    return liveMixtureFactory(4, "regime");
   reportFatalError("unknown policy '" + Name + "'");
+}
+
+const std::vector<std::string> &PolicySet::policyNames() {
+  static const std::vector<std::string> Names = {
+      "default", "online", "offline", "analytic", "mixture", "mixture-hardened"};
+  return Names;
 }
 
 const std::vector<std::string> &PolicySet::standardPolicies() {

@@ -16,9 +16,7 @@
 #define MEDLEY_EXP_POLICYSET_H
 
 #include "core/ExpertBuilder.h"
-#include "core/ExpertRegistry.h"
 #include "core/MixtureOfExperts.h"
-#include "core/RolloutController.h"
 
 #include <map>
 
@@ -41,9 +39,14 @@ public:
   /// The experts of granularity \p K with their training-set sizes.
   const std::vector<core::BuiltExpert> &builtExperts(unsigned K);
 
-  /// Factory for one of the paper's policies: "default", "online",
-  /// "offline", "analytic" or "mixture" (4 experts, regime selector).
+  /// Factory for a policy named in policyNames(): one of the paper's
+  /// "default", "online", "offline", "analytic" or "mixture" (4 experts,
+  /// regime selector), or "mixture-hardened" (the same mixture behind the
+  /// degradation ladder). Any other name is a fatal error.
   policy::PolicyFactory factory(const std::string &Name);
+
+  /// Every name factory() accepts.
+  static const std::vector<std::string> &policyNames();
 
   /// Mixture factory with explicit granularity and selector kind
   /// ("regime", "accuracy", "binned", "perceptron", "hyperplane", "random"). \p Stats, if given, is shared
@@ -69,26 +72,6 @@ public:
   policy::PolicyFactory singleExpertFactory(unsigned NumExperts,
                                             size_t Index);
 
-  /// The process-wide live expert registry, seeded on first use with the
-  /// standard 4-expert set, the corpus feature scaler and the regime
-  /// selector prototype (version 1). The lifecycle machinery (trainer,
-  /// rollout) publishes retrained snapshots into it.
-  std::shared_ptr<core::ExpertRegistry> liveRegistry();
-
-  /// Registry-backed mixture factory ("mixture-live"): every instance
-  /// follows liveRegistry() publications, swapping experts at decision-
-  /// epoch boundaries while keeping its selector's learned state. The
-  /// selector is quarantine-hardened so rollbacks can re-admit strikes.
-  /// \p Rollout, if given, is serviced from the instances' decision loops
-  /// — its single-threaded contract means such a factory must then create
-  /// exactly one instance. \p Faults as in hardenedMixtureFactory.
-  policy::PolicyFactory
-  liveMixtureFactory(unsigned NumExperts, const std::string &SelectorKind,
-                     std::shared_ptr<core::RolloutController> Rollout = nullptr,
-                     core::QuarantineOptions Quarantine = {},
-                     support::FaultStats *Faults = nullptr,
-                     std::shared_ptr<core::MoeStats> Stats = nullptr);
-
   /// Policy names in the paper's presentation order.
   static const std::vector<std::string> &standardPolicies();
 
@@ -101,7 +84,6 @@ private:
   FeatureScaler Scaler;
   bool HaveOffline = false;
   std::shared_ptr<LinearModel> OfflineModel;
-  std::shared_ptr<core::ExpertRegistry> LiveRegistry;
   uint64_t AnalyticSeedCounter = 0x5EED0;
 
   const FeatureScaler &featureScaler();

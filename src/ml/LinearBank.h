@@ -7,8 +7,8 @@
 /// \file
 /// A packed, feature-major bank of K <= MaxLanes (thread, environment)
 /// linear model pairs over N features, scored in one pass. The mixture
-/// packs its experts into a bank once per expert set and scores it once
-/// per decision.
+/// packs its experts into a bank once, when it is built, and scores it
+/// once per decision.
 ///
 /// pack() folds each model's scaler into its weights, lane by lane:
 /// w'_i = w_i / sigma_i and b' = b - sum_i w'_i * mu_i (summed from 0.0 in
@@ -62,9 +62,6 @@ public:
     Lanes = NumLanes;
     return true;
   }
-
-  /// Empties the bank.
-  void clear() { Lanes = 0; }
 
   /// Number of packed pairs; 0 when the bank is empty.
   size_t lanes() const { return Lanes; }

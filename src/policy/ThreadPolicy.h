@@ -31,21 +31,17 @@ public:
   /// is clamped by the runtime to [1, Features.MaxThreads].
   virtual unsigned select(const FeatureVector &Features) = 0;
 
-  /// Decision-epoch boundary: invoked by the runtime binding immediately
-  /// before each decision's features are assembled. Policies backed by a
-  /// versioned store (the expert registry) use this to pick up a freshly
-  /// published snapshot — mid-decision state never changes under a policy.
-  /// Default: no-op. Must be cheap; it runs on every decision.
+  /// Decision-epoch boundary before a decision. Nothing calls it; it stays
+  /// only because perfbench's capture wrapper overrides it. Default: no-op.
   virtual void beginDecisionEpoch();
 
   /// Reports a completed region execution. Default: ignore.
   virtual void observe(const workload::RegionOutcome &Outcome);
 
   /// True when select() is a pure function of the feature vector: no
-  /// adaptation state read or written, no randomness, no external snapshot
-  /// swaps at epoch boundaries, so a caller may reuse an earlier decision
-  /// for bit-identical features. Default: false (the conservative answer
-  /// is always correct).
+  /// adaptation state read or written and no randomness, so a caller may
+  /// reuse an earlier decision for bit-identical features. Default: false
+  /// (the conservative answer is always correct).
   virtual bool decisionsArePure() const { return false; }
 
   /// Rewinds adaptation state for a fresh run.

@@ -33,10 +33,6 @@ medley::runtime::bindPolicy(policy::ThreadPolicy &Policy, unsigned TotalCores,
   return [&Policy, TotalCores, Trace,
           Scratch](const workload::RegionContext &Context) {
     policy::FeatureVector &Features = Scratch->Features;
-    // Epoch boundary first: a registry-backed policy swaps to the latest
-    // published snapshot here, so the decision below runs entirely
-    // against one consistent expert set.
-    Policy.beginDecisionEpoch();
     policy::buildFeatures(Context, TotalCores, Features);
     unsigned Raw = Policy.select(Features);
     unsigned Ceiling = threadCeiling(Features);

@@ -39,9 +39,7 @@ std::vector<FaultWindow> repeating(double Offset, double Width, double Period,
 
 bool FaultPlan::empty() const {
   return SensorDropout.empty() && SensorCorruption.empty() &&
-         UnplugStorm.empty() && StaleMonitor.empty() &&
-         TornPublication.empty() && StaleSnapshotRead.empty() &&
-         CandidateCorruption.empty();
+         UnplugStorm.empty() && StaleMonitor.empty();
 }
 
 FaultPlan FaultPlan::chaosSchedule(double Horizon) {
@@ -54,11 +52,6 @@ FaultPlan FaultPlan::chaosSchedule(double Horizon) {
   Plan.SensorCorruption = repeating(8.0, 4.0, 25.0, Horizon);
   Plan.UnplugStorm = repeating(10.0, 5.0, 25.0, Horizon);
   Plan.StaleMonitor = repeating(18.0, 4.0, 25.0, Horizon);
-  // Lifecycle faults on their own cadence, offset so publications hit both
-  // quiet stretches and the middle of sensor-fault windows.
-  Plan.TornPublication = repeating(5.0, 3.0, 25.0, Horizon);
-  Plan.StaleSnapshotRead = repeating(14.0, 3.0, 25.0, Horizon);
-  Plan.CandidateCorruption = repeating(21.0, 3.0, 25.0, Horizon);
   Plan.CorruptionRate = 0.75;
   Plan.DropoutRate = 0.75;
   Plan.StormCores = 0;
@@ -66,12 +59,10 @@ FaultPlan FaultPlan::chaosSchedule(double Horizon) {
 }
 
 FaultInjector::FaultInjector(FaultPlan Plan, uint64_t Seed)
-    : Plan(std::move(Plan)), Seed(Seed), Generator(Seed),
-      LifecycleGenerator(Seed ^ 0x11FECC1Eu) {}
+    : Plan(std::move(Plan)), Seed(Seed), Generator(Seed) {}
 
 void FaultInjector::reset() {
   Generator = Rng(Seed);
-  LifecycleGenerator = Rng(Seed ^ 0x11FECC1Eu);
   Stats = support::FaultStats();
 }
 
@@ -129,41 +120,6 @@ void FaultInjector::perturbEnv(double Time, EnvSample &Env) {
     if (Generator.bernoulli(0.5))
       corruptOneField(Env);
   }
-}
-
-bool FaultInjector::tearPublication(double Time) {
-  if (!anyContains(Plan.TornPublication, Time))
-    return false;
-  ++Stats.TornPublications;
-  return true;
-}
-
-bool FaultInjector::staleSnapshotRead(double Time) {
-  if (!anyContains(Plan.StaleSnapshotRead, Time))
-    return false;
-  ++Stats.StaleSnapshotReads;
-  return true;
-}
-
-bool FaultInjector::corruptCandidate(double Time, std::string &Bytes) {
-  if (!anyContains(Plan.CandidateCorruption, Time) || Bytes.empty())
-    return false;
-  if (LifecycleGenerator.bernoulli(0.5)) {
-    // Truncation: the hand-off died mid-copy.
-    size_t Keep = 1 + static_cast<size_t>(LifecycleGenerator.uniformInt(
-                          0, static_cast<int64_t>(Bytes.size()) - 1));
-    Bytes.resize(Keep);
-  } else {
-    // Bit rot: a run of bytes flipped in flight.
-    size_t Start = static_cast<size_t>(LifecycleGenerator.uniformInt(
-        0, static_cast<int64_t>(Bytes.size()) - 1));
-    for (size_t I = 0; I < 32 && Start + I < Bytes.size(); ++I)
-      Bytes[Start + I] = static_cast<char>(
-          Bytes[Start + I] ^
-          static_cast<char>(1 + LifecycleGenerator.uniformInt(0, 254)));
-  }
-  ++Stats.CandidateCorruptions;
-  return true;
 }
 
 bool FaultInjector::corruptFile(const std::string &Path, uint64_t Seed) {

@@ -57,12 +57,6 @@ struct FaultPlan {
   std::vector<FaultWindow> UnplugStorm;     ///< Cores forced to StormCores.
   std::vector<FaultWindow> StaleMonitor;    ///< Monitor updates suppressed.
 
-  // Expert-lifecycle faults (DESIGN.md §14.6), struck on the registry's
-  // publication/readback path rather than per tick:
-  std::vector<FaultWindow> TornPublication;   ///< Snapshot write torn mid-file.
-  std::vector<FaultWindow> StaleSnapshotRead; ///< Readback serves an old version.
-  std::vector<FaultWindow> CandidateCorruption;///< Candidate bytes damaged in flight.
-
   /// Per-tick probability that an active corruption window actually
   /// corrupts this tick's sample (1.0 = every tick).
   double CorruptionRate = 0.5;
@@ -101,23 +95,6 @@ public:
   /// Applies any scheduled sensor dropout/corruption to \p Env in place.
   void perturbEnv(double Time, EnvSample &Env);
 
-  /// True when a snapshot publication at \p Time must be torn (wired into
-  /// core::SnapshotFaultHooks::TearWrite by the lifecycle chaos tests).
-  /// Lifecycle faults draw from a dedicated generator so they never
-  /// perturb the per-tick sensor fault stream.
-  bool tearPublication(double Time);
-
-  /// True when a snapshot readback at \p Time must behave as if the store
-  /// served a stale version (the caller then loads with a minimum-version
-  /// expectation the file cannot meet).
-  bool staleSnapshotRead(double Time);
-
-  /// Damages serialised candidate \p Bytes in place when \p Time falls in
-  /// a candidate-corruption window (wired into
-  /// core::SnapshotFaultHooks::CorruptCandidate). Returns true when the
-  /// bytes were touched.
-  bool corruptCandidate(double Time, std::string &Bytes);
-
   /// Counters of every fault injected so far.
   const support::FaultStats &stats() const { return Stats; }
 
@@ -138,10 +115,6 @@ private:
   FaultPlan Plan;
   uint64_t Seed;
   Rng Generator;
-  /// Separate stream for publication-path faults: publications interleave
-  /// unpredictably with ticks, and sharing Generator would make the sensor
-  /// fault sequence depend on publication timing.
-  Rng LifecycleGenerator;
   support::FaultStats Stats;
 };
 

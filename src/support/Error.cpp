@@ -34,8 +34,6 @@ const char *errorCodeName(ErrorCode Code) {
     return "invalid-argument";
   case ErrorCode::ChecksumMismatch:
     return "checksum-mismatch";
-  case ErrorCode::StaleVersion:
-    return "stale-version";
   }
   return "unknown";
 }

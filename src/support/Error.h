@@ -37,7 +37,6 @@ enum class ErrorCode {
   NonFiniteValue, ///< A NaN/Inf where a finite number is required.
   InvalidArgument,///< Caller-supplied parameter out of range.
   ChecksumMismatch, ///< Stored content checksum disagrees with the payload.
-  StaleVersion,   ///< Snapshot version older than one already observed.
 };
 
 /// Short stable name of \p Code ("io-failure", "truncated-input", ...).

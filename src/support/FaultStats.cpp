@@ -22,24 +22,13 @@ void FaultStats::merge(const FaultStats &Other) {
   ClampedPredictions += Other.ClampedPredictions;
   CellRetries += Other.CellRetries;
   CellFailures += Other.CellFailures;
-  TornPublications += Other.TornPublications;
-  StaleSnapshotReads += Other.StaleSnapshotReads;
-  CandidateCorruptions += Other.CandidateCorruptions;
-  SnapshotPublications += Other.SnapshotPublications;
-  SnapshotPromotions += Other.SnapshotPromotions;
-  SnapshotRollbacks += Other.SnapshotRollbacks;
-  ChecksumRejects += Other.ChecksumRejects;
 }
 
 bool FaultStats::clean() const {
   return SensorDropouts == 0 && SensorCorruptions == 0 &&
          UnplugOverrides == 0 && StaleTicks == 0 && SanitizedValues == 0 &&
          Quarantines == 0 && Readmissions == 0 && DefaultFallbacks == 0 &&
-         ClampedPredictions == 0 && CellRetries == 0 && CellFailures == 0 &&
-         TornPublications == 0 && StaleSnapshotReads == 0 &&
-         CandidateCorruptions == 0 && SnapshotPublications == 0 &&
-         SnapshotPromotions == 0 && SnapshotRollbacks == 0 &&
-         ChecksumRejects == 0;
+         ClampedPredictions == 0 && CellRetries == 0 && CellFailures == 0;
 }
 
 std::string FaultStats::summary() const {
@@ -63,12 +52,5 @@ std::string FaultStats::summary() const {
   Emit("clamped", ClampedPredictions);
   Emit("retries", CellRetries);
   Emit("cell-failures", CellFailures);
-  Emit("torn-publications", TornPublications);
-  Emit("stale-snapshot-reads", StaleSnapshotReads);
-  Emit("candidate-corruptions", CandidateCorruptions);
-  Emit("publications", SnapshotPublications);
-  Emit("promotions", SnapshotPromotions);
-  Emit("rollbacks", SnapshotRollbacks);
-  Emit("checksum-rejects", ChecksumRejects);
   return OS.str();
 }

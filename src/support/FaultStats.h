@@ -43,17 +43,6 @@ struct FaultStats {
   uint64_t CellRetries = 0;       ///< Re-executions of a faulted run.
   uint64_t CellFailures = 0;      ///< Runs recorded failed after retries.
 
-  // Expert-lifecycle faults injected by sim::FaultInjector (DESIGN.md §14).
-  uint64_t TornPublications = 0;    ///< Snapshot writes torn mid-publication.
-  uint64_t StaleSnapshotReads = 0;  ///< Readbacks served a stale version.
-  uint64_t CandidateCorruptions = 0;///< Candidate snapshots corrupted in flight.
-
-  // Expert-lifecycle responses (registry / rollout controller).
-  uint64_t SnapshotPublications = 0;///< Snapshots published to the registry.
-  uint64_t SnapshotPromotions = 0;  ///< Canary snapshots promoted to live.
-  uint64_t SnapshotRollbacks = 0;   ///< Canary snapshots rolled back.
-  uint64_t ChecksumRejects = 0;     ///< Loads rejected on checksum mismatch.
-
   /// Folds \p Other into this instance.
   void merge(const FaultStats &Other);
 

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// 64-bit FNV-1a content hashing, shared by the expert registry's snapshot
-/// checksums, the ExpertIo on-disk format (DESIGN.md §14.4), the driver's
-/// per-cell seeds and the fleet's decision and stats checksums. The hash is
+/// 64-bit FNV-1a content hashing, shared by the ExpertIo on-disk format's
+/// checksum (DESIGN.md §14), the driver's per-cell seeds, the fleet's
+/// decision and stats checksums and medley-lint's fingerprints. The hash is
 /// incremental: start from fnv1aInit(), feed bytes through fnv1aUpdate, and
 /// the running value is the checksum at any prefix. A streamed hash over a
 /// file's payload therefore equals fnv1aBytes over the same bytes, which is

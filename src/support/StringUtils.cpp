@@ -66,11 +66,13 @@ std::optional<uint64_t> parseUnsigned(std::string_view Text, uint64_t Min,
   return Value;
 }
 
-std::optional<double> parseDouble(std::string_view Text) {
+std::optional<double> parseDouble(std::string_view Text, double Min,
+                                  double Max) {
   double Value = 0.0;
   const char *End = Text.data() + Text.size();
   auto [Stop, Ec] = std::from_chars(Text.data(), End, Value);
-  if (Ec != std::errc() || Stop != End || !std::isfinite(Value))
+  if (Ec != std::errc() || Stop != End || !std::isfinite(Value) ||
+      Value < Min || Value > Max)
     return std::nullopt;
   return Value;
 }

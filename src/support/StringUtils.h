@@ -42,9 +42,12 @@ std::optional<uint64_t>
 parseUnsigned(std::string_view Text, uint64_t Min = 0,
               uint64_t Max = std::numeric_limits<uint64_t>::max());
 
-/// Parses all of \p Text as a finite decimal number; std::nullopt for
-/// anything else.
-std::optional<double> parseDouble(std::string_view Text);
+/// Parses all of \p Text as a finite decimal number in [Min, Max];
+/// std::nullopt for anything else.
+std::optional<double>
+parseDouble(std::string_view Text,
+            double Min = std::numeric_limits<double>::lowest(),
+            double Max = std::numeric_limits<double>::max());
 
 /// Renders a horizontal ASCII bar of length round(Value * UnitsPerChar),
 /// capped at \p MaxChars. Used by the figure benches to sketch bar charts.

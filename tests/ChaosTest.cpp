@@ -20,10 +20,12 @@
 #include "policy/DefaultPolicy.h"
 #include "sim/FaultInjector.h"
 #include "support/FaultStats.h"
+#include "support/Fnv.h"
 #include "trace/Columnar.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -487,6 +489,38 @@ TEST(ChaosGridTest, ChaosRunsAreBitIdenticalAcrossJobs) {
     for (size_t I = 0; I < A.TargetDecisions.size(); ++I)
       EXPECT_EQ(A.TargetDecisions[I].Threads, B.TargetDecisions[I].Threads);
   }
+}
+
+TEST(ChaosGridTest, ChaosOutputsArePinned) {
+  // One chaos cell digested bit for bit: every run's target time,
+  // throughput and region count, every decision's time, thread count,
+  // available processors and clamp flag, and the fault counters. The
+  // constant was computed before the expert lifecycle's fault classes left
+  // FaultPlan; any change to chaosSchedule, the injector's streams, the
+  // quarantine ladder or the mixture moves it.
+  Measurement M = runChaosCell(1, 0xC4A4);
+  uint64_t Hash = support::fnv1aInit();
+  auto FoldDouble = [&Hash](double V) {
+    Hash = support::fnv1aWord(Hash, std::bit_cast<uint64_t>(V));
+  };
+  for (const runtime::CoExecutionResult &Run : M.Runs) {
+    FoldDouble(Run.TargetTime);
+    FoldDouble(Run.WorkloadThroughput);
+    Hash = support::fnv1aWord(Hash, Run.TargetRegions);
+    for (const runtime::Decision &D : Run.TargetDecisions) {
+      FoldDouble(D.Time);
+      Hash = support::fnv1aWord(Hash, D.Threads);
+      Hash = support::fnv1aWord(Hash, D.AvailableProcessors);
+      Hash = support::fnv1aWord(Hash, D.Clamped);
+    }
+  }
+  const support::FaultStats &F = M.Faults;
+  for (uint64_t N : {F.SensorDropouts, F.SensorCorruptions, F.UnplugOverrides,
+                     F.StaleTicks, F.SanitizedValues, F.Quarantines,
+                     F.Readmissions, F.DefaultFallbacks, F.ClampedPredictions,
+                     F.CellRetries, F.CellFailures})
+    Hash = support::fnv1aWord(Hash, N);
+  EXPECT_EQ(Hash, 0x3c6aa712444a0d30ULL);
 }
 
 TEST(ChaosGridTest, FaultFreeHardenedMixtureMatchesPlainCosts) {

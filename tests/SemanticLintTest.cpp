@@ -453,91 +453,6 @@ TEST(HotpathEscapeTest, FleetStepShardIsADecisionEntry) {
 }
 
 //===----------------------------------------------------------------------===//
-// L11 snapshot-retention: acquire tracking on in-process snippets
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// The minimal registry definition that arms L11 (the rule activates
-/// only when an `ExpertRegistry::acquire` node exists in the graph).
-FileIndex registryIndex() {
-  return indexSrc("src/core/Registry.cpp",
-                  "struct ExpertSnapshot { unsigned long Version = 0; };\n"
-                  "struct ReaderPin { const ExpertSnapshot *Held = nullptr; "
-                  "};\n"
-                  "class ExpertRegistry {\n"
-                  "public:\n"
-                  "  const ExpertSnapshot *acquire(ReaderPin &Reader);\n"
-                  "  void maintain();\n"
-                  "private:\n"
-                  "  ExpertSnapshot Current;\n"
-                  "};\n"
-                  "const ExpertSnapshot *ExpertRegistry::acquire(ReaderPin "
-                  "&Reader) {\n"
-                  "  Reader.Held = &Current;\n"
-                  "  return Reader.Held;\n"
-                  "}\n"
-                  "void ExpertRegistry::maintain() {}\n");
-}
-
-const char *HolderSrc =
-    "struct ExpertSnapshot;\n"
-    "struct ReaderPin { const ExpertSnapshot *Held = nullptr; };\n"
-    "class ExpertRegistry {\n"
-    "public:\n"
-    "  const ExpertSnapshot *acquire(ReaderPin &Reader);\n"
-    "  void maintain();\n"
-    "};\n"
-    "class Holder {\n"
-    "public:\n"
-    "  void stash(ExpertRegistry &Reg);\n"
-    "  const ExpertSnapshot *pin(ExpertRegistry &Reg);\n"
-    "  void across(ExpertRegistry &Reg);\n"
-    "private:\n"
-    "  const ExpertSnapshot *Cached = nullptr;\n"
-    "  unsigned long Sink = 0;\n"
-    "};\n"
-    "void Holder::stash(ExpertRegistry &Reg) {\n"
-    "  ReaderPin Pin;\n"
-    "  const ExpertSnapshot *S = Reg.acquire(Pin);\n"
-    "  Cached = S;\n"
-    "}\n"
-    "const ExpertSnapshot *Holder::pin(ExpertRegistry &Reg) {\n"
-    "  ReaderPin Pin;\n"
-    "  return Reg.acquire(Pin);\n"
-    "}\n"
-    "void Holder::across(ExpertRegistry &Reg) {\n"
-    "  ReaderPin Pin;\n"
-    "  const ExpertSnapshot *S = Reg.acquire(Pin);\n"
-    "  Reg.maintain();\n"
-    "  Sink = S->Version;\n"
-    "}\n";
-
-} // namespace
-
-TEST(SnapshotRetentionTest, StoreReturnAndHoldAcrossFire) {
-  auto Findings = runSemanticRules(linkCallGraph(
-      {registryIndex(), indexSrc("src/core/Holder.cpp", HolderSrc)}));
-  std::string Msgs = messagesOf(Findings);
-  EXPECT_EQ(countRule(Findings, "snapshot-retention"), 3u) << Msgs;
-  EXPECT_NE(Msgs.find("stored into a field/global"), std::string::npos)
-      << Msgs;
-  EXPECT_NE(Msgs.find("returned from the acquiring function"),
-            std::string::npos)
-      << Msgs;
-  EXPECT_NE(Msgs.find("held across 'maintain'"), std::string::npos) << Msgs;
-}
-
-TEST(SnapshotRetentionTest, DisarmedWithoutRegistryAcquireDefinition) {
-  // Identical holder code, but no ExpertRegistry::acquire definition in
-  // the tree: other projects' acquire() methods must not trip the rule.
-  auto Findings = runSemanticRules(
-      linkCallGraph({indexSrc("src/core/Holder.cpp", HolderSrc)}));
-  EXPECT_FALSE(hasRule(Findings, "snapshot-retention"))
-      << messagesOf(Findings);
-}
-
-//===----------------------------------------------------------------------===//
 // L12 arena-escape: origin + liveness dataflow on in-process snippets
 //===----------------------------------------------------------------------===//
 
@@ -1100,25 +1015,6 @@ TEST_F(SemanticCliTest, HotpathEscapeFixtureFires) {
       << Report;
 }
 
-TEST_F(SemanticCliTest, RegistryLockFixtureFiresOnTheAcquireEntry) {
-  // The lifecycle entry points: a registry reader that locks and
-  // allocates on the acquire path must trip both L7 (via the
-  // ExpertRegistry::acquire decision entry) and L8 (sleep under the
-  // publish mutex).
-  std::string Json = path("report.json");
-  EXPECT_EQ(runLint("--root " + fixture("registry-lock") + " --json " + Json +
-                    " " + fixture("registry-lock") + "/src"),
-            1);
-  std::string Report = slurp(Json);
-  EXPECT_NE(Report.find("hotpath-escape"), std::string::npos) << Report;
-  EXPECT_NE(Report.find("ExpertRegistry::acquire -> repinSnapshot"),
-            std::string::npos)
-      << Report;
-  EXPECT_NE(Report.find("held across blocking call"), std::string::npos)
-      << Report;
-  EXPECT_NE(Report.find("PublishMutex"), std::string::npos) << Report;
-}
-
 TEST_F(SemanticCliTest, LockOrderFixtureFiresForCycleAndBlockingCall) {
   std::string Json = path("report.json");
   EXPECT_EQ(runLint("--root " + fixture("lock-order") + " --json " + Json +
@@ -1246,25 +1142,6 @@ TEST_F(SemanticCliTest, FleetShardFixtureFires) {
   EXPECT_EQ(Report.find("'LocalTicks'"), std::string::npos) << Report;
 }
 
-TEST_F(SemanticCliTest, SnapshotRetentionFixtureFires) {
-  std::string Json = path("report.json");
-  EXPECT_EQ(runLint("--root " + fixture("snapshot-retention") + " --json " +
-                    Json + " " + fixture("snapshot-retention") + "/src"),
-            1);
-  std::string Report = slurp(Json);
-  EXPECT_NE(Report.find("snapshot-retention"), std::string::npos) << Report;
-  EXPECT_NE(Report.find("stored into a field/global"), std::string::npos)
-      << Report;
-  EXPECT_NE(Report.find("returned from the acquiring function"),
-            std::string::npos)
-      << Report;
-  EXPECT_NE(Report.find("held across 'maintain'"), std::string::npos)
-      << Report;
-  // The transitive may-block leg: helper() itself only sleeps.
-  EXPECT_NE(Report.find("held across 'helper'"), std::string::npos)
-      << Report;
-}
-
 TEST_F(SemanticCliTest, ArenaEscapeFixtureFires) {
   std::string Json = path("report.json");
   EXPECT_EQ(runLint("--root " + fixture("arena-escape") + " --json " + Json +
@@ -1283,12 +1160,11 @@ TEST_F(SemanticCliTest, ArenaEscapeFixtureFires) {
 }
 
 TEST_F(SemanticCliTest, SarifCarriesCatalogRuleIndexAndFingerprints) {
-  // Every report embeds the full twelve-rule catalog plus per-result
-  // ruleIndex and stable partialFingerprints — over all the seeded
-  // fixture trees (L7–L12).
-  const char *Trees[] = {"hotpath-escape",     "registry-lock",
-                         "lock-order",         "determinism-taint",
-                         "cross-thread-write", "snapshot-retention",
+  // Every report embeds the full rule catalog plus per-result ruleIndex
+  // and stable partialFingerprints — over all the seeded fixture trees
+  // (L7–L10, L12).
+  const char *Trees[] = {"hotpath-escape",     "lock-order",
+                         "determinism-taint",  "cross-thread-write",
                          "arena-escape",       "fleet-shard"};
   for (const char *Tree : Trees) {
     std::string Sarif = path(std::string(Tree) + ".sarif");
@@ -1302,7 +1178,7 @@ TEST_F(SemanticCliTest, SarifCarriesCatalogRuleIndexAndFingerprints) {
     for (const char *Name :
          {"\"Nondeterminism\"", "\"HotpathEscape\"", "\"LockOrder\"",
           "\"DeterminismTaint\"", "\"CrossThreadWrite\"",
-          "\"SnapshotRetention\"", "\"ArenaEscape\""})
+          "\"ArenaEscape\""})
       EXPECT_NE(Report.find(Name), std::string::npos) << Tree << " " << Name;
     EXPECT_NE(Report.find("\"ruleIndex\""), std::string::npos) << Tree;
     EXPECT_NE(Report.find("\"partialFingerprints\""), std::string::npos)

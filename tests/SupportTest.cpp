@@ -317,6 +317,16 @@ TEST(StringUtilsTest, ParseDoubleTakesWholeFiniteNumbers) {
     EXPECT_FALSE(parseDouble(Bad).has_value()) << "'" << Bad << "'";
 }
 
+TEST(StringUtilsTest, ParseDoubleChecksRange) {
+  EXPECT_EQ(parseDouble("0", 0.0, 1.0), 0.0);
+  EXPECT_EQ(parseDouble("1", 0.0, 1.0), 1.0);
+  EXPECT_FALSE(parseDouble("1.5", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parseDouble("-1e-9", 0.0, 1.0).has_value());
+  // The CLI's --period floor is the simulator tick: the tick itself passes.
+  EXPECT_EQ(parseDouble("0.1", 0.1), 0.1);
+  EXPECT_FALSE(parseDouble("1e-9", 0.1).has_value());
+}
+
 TEST(TableTest, AlignsColumnsAndPrintsRule) {
   Table T("Title");
   T.addRow({"name", "value"});

@@ -2,9 +2,9 @@
 """Compare a fresh bench JSON against a checked-in baseline.
 
 Fails (exit 1) when any latency metric (a key ending in ``ns_per_tick``,
-``ns_per_decision``, ``seconds`` or ``registry_acquire_ns``) regresses by
-more than the threshold (default 15%), or when an allocation counter
-(``allocs_per_steady_tick``, ``allocs_per_acquire``) increases at all. Throughput keys (``*_per_sec``), checksums and shape
+``ns_per_decision`` or ``seconds``) regresses by more than the threshold
+(default 15%), or when the allocation counter (``allocs_per_steady_tick``)
+increases at all. Throughput keys (``*_per_sec``), checksums and shape
 fields are informational and never gate.
 
 Usage:
@@ -20,9 +20,8 @@ import argparse
 import json
 import sys
 
-LATENCY_SUFFIXES = ("ns_per_tick", "ns_per_decision", "seconds",
-                    "registry_acquire_ns")
-COUNTER_KEYS = ("allocs_per_steady_tick", "allocs_per_acquire")
+LATENCY_SUFFIXES = ("ns_per_tick", "ns_per_decision", "seconds")
+COUNTER_KEYS = ("allocs_per_steady_tick",)
 
 
 def flatten(node, prefix=""):

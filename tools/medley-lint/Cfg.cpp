@@ -1118,8 +1118,8 @@ private:
   // Expression classification (phase B inputs)
   //===--------------------------------------------------------------------===//
 
-  /// Direct tracked origin of an expression: an `.acquire(` call or an
-  /// `.allocateArray<T>(` call anywhere inside it.
+  /// Direct tracked origin of an expression: an `.allocateArray<T>(` call
+  /// anywhere inside it.
   std::string originOf(size_t B, size_t E) const {
     for (size_t I = B; I < E; ++I) {
       if (T[I].K != Token::Ident)
@@ -1128,8 +1128,6 @@ private:
           I > B && (punctIs(T, I - 1, ".") || punctIs(T, I - 1, "->"));
       if (!PrevDot)
         continue;
-      if (T[I].Text == "acquire" && punctIs(T, I + 1, "("))
-        return "acquire";
       if (T[I].Text == "allocateArray") {
         size_t A = I + 1;
         if (punctIs(T, A, "<"))

@@ -47,7 +47,7 @@ struct CfgStmt {
   std::string Id;
   std::string Base;   ///< Write: chain base ("this", ident, or "").
   std::string Last;   ///< Write: last chain component.
-  std::string Origin; ///< Def/Ret: direct origin ("acquire"/"arena:<id>").
+  std::string Origin; ///< Def/Ret: direct origin ("arena:<id>").
   std::string Qual;   ///< Call: explicit qualifier as written.
   /// Def: rhs vars whose tracked origin the defined var inherits.
   /// Write/Ret: rhs vars stored/returned in pointer-preserving form.

@@ -13,9 +13,8 @@
 ///    ("unreached") element, so a write is "unguarded" only when a
 ///    *reachable* path arrives with no lock held.
 ///  - tracked pointers: forward, meet = union of var → origin maps;
-///    origins are "acquire" (registry snapshot) and "arena:<id>"
-///    (bump-allocator storage, with a reset flag once the matching
-///    arena's reset() is seen on the path).
+///    the origin is "arena:<id>" (bump-allocator storage, with a reset
+///    flag once the matching arena's reset() is seen on the path).
 ///  - liveness: backward, meet = union — which tracked locals are
 ///    still read after a program point; it decides the
 ///    held-across-call retention sites.

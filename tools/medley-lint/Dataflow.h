@@ -89,7 +89,7 @@ std::vector<typename Domain::Value> solveBackward(const FunctionCfg &G,
 
 /// Runs the three analyses over \p Cfg and fills \p Fn's flow
 /// summaries: UnguardedWrites (must-held empty at a field/global
-/// write), RetentionSites (tracked acquire/arena pointers stored,
+/// write), RetentionSites (tracked arena pointers stored,
 /// returned, used after reset, or live across calls), FlowCalls
 /// (per-call must-lock + receiver locality for the thread-reachability
 /// walk), and ResetArenas. Deterministic: summaries are sorted.

@@ -113,9 +113,8 @@ bool isSeedSink(const std::string &S) {
 /// Calls that move a lambda argument onto another thread: the lambda's
 /// body becomes a synthetic IsThreadBody function node (DESIGN.md §15).
 bool isSpawnCall(const std::string &S) {
-  static const std::array<const char *, 6> K = {
-      "parallelFor", "submit", "retrainAsync", "async", "thread",
-      "emplace_back"};
+  static const std::array<const char *, 5> K = {
+      "parallelFor", "submit", "async", "thread", "emplace_back"};
   return oneOf(S, K);
 }
 

@@ -120,10 +120,10 @@ struct UnguardedWrite {
   std::string LineText; ///< Trimmed source line (baseline key).
 };
 
-/// One lifetime event for a tracked pointer: a registry-snapshot
-/// (`acquire`) or arena (`allocateArray`) result that is stored past its
-/// scope, returned, used after a reset, or live across a call. L11/L12
-/// decide which events are violations using whole-program facts.
+/// One lifetime event for a tracked pointer: an arena (`allocateArray`)
+/// result that is stored past its scope, returned, used after a reset, or
+/// live across a call. L12 decides which events are violations using
+/// whole-program facts.
 struct RetentionSite {
   enum Kind {
     StoreTo = 0,       ///< Stored through a non-local lvalue.
@@ -133,7 +133,7 @@ struct RetentionSite {
   };
   int K = StoreTo;
   std::string Var;        ///< Tracked local ("<result>" for direct returns).
-  std::string Origin;     ///< "acquire" or "arena:<normalized id>".
+  std::string Origin;     ///< "arena:<normalized id>".
   std::string Base;       ///< StoreTo: destination chain base.
   std::string Last;       ///< StoreTo: destination last component.
   std::string Callee;     ///< AcrossCall: callee name.

@@ -32,7 +32,6 @@ inline constexpr const char *RuleDeterminismTaint = "determinism-taint";
 // Flow-sensitive families (DESIGN.md §15), computed from the CFG +
 // dataflow summaries over the linked call graph.
 inline constexpr const char *RuleCrossThreadWrite = "cross-thread-write";
-inline constexpr const char *RuleSnapshotRetention = "snapshot-retention";
 inline constexpr const char *RuleArenaEscape = "arena-escape";
 
 /// Analyzer identity folded into the incremental-cache fingerprint: any

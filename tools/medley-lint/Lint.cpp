@@ -130,9 +130,6 @@ const std::vector<RuleMeta> &medley::lint::ruleCatalog() {
        "Entropy/wall-clock taint reaching an RNG seed or trace sink"},
       {RuleCrossThreadWrite, "CrossThreadWrite",
        "Unsynchronized non-atomic field/global write on a thread-task path"},
-      {RuleSnapshotRetention, "SnapshotRetention",
-       "ExpertRegistry snapshot cached, returned, or held across "
-       "maintain()/blocking calls"},
       {RuleArenaEscape, "ArenaEscape",
        "Arena::allocateArray storage escaping tick scope or used after "
        "reset()"},

@@ -7,7 +7,9 @@
 /// \file
 /// medley-lint: a project-specific static-analysis pass over the Medley
 /// sources enforcing the invariants the experiment engine's determinism
-/// contract rests on (DESIGN.md §10). Twelve rule families:
+/// contract rests on (DESIGN.md §10). Eleven rule families; L11, which
+/// guarded the removed expert registry's snapshots, is retired and the
+/// other numbers are kept:
 ///
 ///   nondeterminism     (L1)  wall-clock / unseeded entropy in src/
 ///   unordered-reduction(L2)  reductions fed by unordered-container order
@@ -32,14 +34,11 @@
 ///   cross-thread-write (L10) flow-sensitive: non-atomic fields/globals
 ///                            written lock-free on paths reachable from
 ///                            thread-task bodies
-///   snapshot-retention (L11) flow-sensitive: ExpertRegistry snapshots
-///                            cached in fields/globals, returned, or
-///                            held across maintain()/blocking calls
 ///   arena-escape       (L12) flow-sensitive: Arena::allocateArray
 ///                            storage escaping tick scope or used after
 ///                            the arena's reset()
 ///
-/// L7–L9 live in Semantic.h/CallGraph.h (DESIGN.md §12); L10–L12 add a
+/// L7–L9 live in Semantic.h/CallGraph.h (DESIGN.md §12); L10 and L12 add a
 /// per-function CFG + dataflow layer in phase 1 (Cfg.h/Dataflow.h,
 /// DESIGN.md §15). This header is the single-file token layer they all
 /// build on.

@@ -484,112 +484,6 @@ void ruleCrossThreadWrite(const CallGraph &G, std::vector<Finding> &Out) {
 }
 
 //===----------------------------------------------------------------------===//
-// L11: snapshot-retention
-//===----------------------------------------------------------------------===//
-
-void ruleSnapshotRetention(const CallGraph &G, std::vector<Finding> &Out) {
-  // Only meaningful in trees that define the registry: the "acquire"
-  // origin the summaries track is ExpertRegistry::acquire's epoch
-  // snapshot (DESIGN.md §14).
-  bool Active = false;
-  for (const CallGraph::Node &N : G.Nodes)
-    if (N.Class == "ExpertRegistry" && N.Name == "acquire") {
-      Active = true;
-      break;
-    }
-  if (!Active)
-    return;
-
-  // Transitive "may park the thread or run the reclaimer": holding a
-  // snapshot across such a call stretches the epoch and delays
-  // reclamation of every retired generation.
-  std::vector<char> MayBlock(G.Nodes.size(), 0);
-  for (size_t I = 0; I < G.Nodes.size(); ++I)
-    if (inScope(G, I))
-      for (const FlowCall &FC : G.Nodes[I].FlowCalls)
-        if (isBlockingCallName(FC.Name) || FC.Name == "maintain")
-          MayBlock[I] = 1;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t I = 0; I < G.Nodes.size(); ++I) {
-      if (!inScope(G, I) || MayBlock[I])
-        continue;
-      for (size_t Succ : G.Edges[I])
-        if (inScope(G, Succ) && MayBlock[Succ]) {
-          MayBlock[I] = 1;
-          Changed = true;
-          break;
-        }
-    }
-  }
-
-  for (size_t I = 0; I < G.Nodes.size(); ++I) {
-    if (!inScope(G, I))
-      continue;
-    const CallGraph::Node &N = G.Nodes[I];
-    for (const auto &[R, FileId] : N.Retentions) {
-      if (R.Origin != "acquire")
-        continue;
-      if (G.allowedAt(FileId, R.Line, RuleSnapshotRetention))
-        continue;
-      switch (R.K) {
-      case RetentionSite::StoreTo: {
-        if (!resolveDest(G, N, R.Base, R.Last).Resolved)
-          break;
-        Out.push_back(makeFinding(
-            G, FileId, R.Line, R.Col, RuleSnapshotRetention,
-            "snapshot-derived pointer '" + R.Var + "' stored into a "
-                "field/global — ExpertSnapshot contents are only valid "
-                "while the epoch pin is held; re-acquire per epoch "
-                "instead of caching (DESIGN.md §14)",
-            R.LineText));
-        break;
-      }
-      case RetentionSite::ReturnFrom:
-        Out.push_back(makeFinding(
-            G, FileId, R.Line, R.Col, RuleSnapshotRetention,
-            "snapshot-derived value" +
-                (R.Var == "<result>" ? std::string()
-                                     : " '" + R.Var + "'") +
-                " returned from the acquiring function — the caller "
-                "outlives the epoch pin; pass the snapshot handle "
-                "itself instead (DESIGN.md §14)",
-            R.LineText));
-        break;
-      case RetentionSite::AcrossCall: {
-        bool Bad =
-            isBlockingCallName(R.Callee) || R.Callee == "maintain";
-        if (!Bad) {
-          CallSite CS;
-          CS.Name = R.Callee;
-          CS.Qualifier = R.CalleeQual;
-          CS.IsMember = R.CalleeMember;
-          for (size_t T : resolveCall(G, N, CS))
-            if (inScope(G, T) && MayBlock[T]) {
-              Bad = true;
-              break;
-            }
-        }
-        if (!Bad)
-          break;
-        Out.push_back(makeFinding(
-            G, FileId, R.Line, R.Col, RuleSnapshotRetention,
-            "snapshot '" + R.Var + "' held across '" + R.Callee +
-                "', which may block or run the registry reclaimer — "
-                "the pin stalls snapshot retirement for the full wait; "
-                "drop the snapshot first (DESIGN.md §14)",
-            R.LineText));
-        break;
-      }
-      default:
-        break;
-      }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // L12: arena-escape
 //===----------------------------------------------------------------------===//
 
@@ -706,19 +600,6 @@ bool medley::lint::isDecisionEntry(const CallGraph::Node &N) {
   if (N.Name == "buildFeatures" &&
       N.Qual.find("policy::") != std::string::npos)
     return true;
-  // The expert-lifecycle hot path (DESIGN.md §14): snapshot acquisition
-  // runs at every decision-epoch boundary and rollout shadow scoring at
-  // every decision, so both must stay allocation- and lock-free like the
-  // decision loop they sit on.
-  if (N.Class == "ExpertRegistry")
-    return N.Name == "acquire";
-  // (maintain() is deliberately NOT an entry: it is the epoch-boundary
-  // slow path where staging, rebinds and the candidate mailbox mutex are
-  // allowed to live.)
-  if (N.Class == "RolloutController")
-    return N.Name == "observe";
-  if (N.Class == "LiveMixture")
-    return N.Name == "select";
   // The tick kernels: the per-tick reductions, the table compaction and
   // the steady pass's rate refresh (Task::refreshRate and the activeRate
   // it dispatches to) run once per simulated tick, so any allocation
@@ -751,7 +632,6 @@ std::vector<Finding> medley::lint::runSemanticRules(const CallGraph &G) {
   ruleLockOrder(G, Out);
   ruleDeterminismTaint(G, Out);
   ruleCrossThreadWrite(G, Out);
-  ruleSnapshotRetention(G, Out);
   ruleArenaEscape(G, Out);
   return Out;
 }

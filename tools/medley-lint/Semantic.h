@@ -34,17 +34,13 @@
 ///   cross-thread-write  (L10) non-atomic fields/globals written with no
 ///                             lock held on any path reachable from a
 ///                             thread-task body (lambdas handed to
-///                             parallelFor/submit/retrainAsync/...).
-///   snapshot-retention  (L11) ExpertSnapshot pointers from
-///                             ExpertRegistry::acquire stored into
-///                             fields/globals, returned, or held live
-///                             across maintain()/blocking calls.
+///                             parallelFor/submit/...).
 ///   arena-escape        (L12) support::Arena::allocateArray storage
 ///                             escaping its tick scope (stored,
 ///                             returned) or used after the matching
 ///                             arena's reset() on any path.
 ///
-/// All six traverse only src/ and src/support/ definitions — tests,
+/// All five traverse only src/ and src/support/ definitions — tests,
 /// benches and apps may allocate, lock and log as they please.
 ///
 //===----------------------------------------------------------------------===//
