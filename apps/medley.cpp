@@ -96,14 +96,17 @@ public:
     return has(Key) ? parsed(Key, parseDouble(get(Key), Min, Max)) : Default;
   }
 
+  /// Ends the program with an error: --Key's value is not accepted.
+  [[noreturn]] void reject(const std::string &Key) const {
+    std::cerr << "invalid value '" << get(Key) << "' for --" << Key << '\n';
+    std::exit(1);
+  }
+
 private:
   template <class T>
   T parsed(const std::string &Key, std::optional<T> Value) const {
-    if (!Value) {
-      std::cerr << "invalid value '" << get(Key) << "' for --" << Key
-                << '\n';
-      std::exit(1);
-    }
+    if (!Value)
+      reject(Key);
     return *Value;
   }
 
@@ -224,6 +227,10 @@ int writeTrace(const trace::TickTrace &Trace, const std::string &Path,
 int cmdCoexec(const Args &A) {
   std::string Target = A.get("target", "cg");
   std::string Policy = policyByName(A.get("policy", "mixture"));
+  if (!workload::Catalog::contains(Target)) {
+    std::cerr << "unknown target '" << Target << "'\n";
+    return 1;
+  }
   std::vector<std::string> Workload =
       splitList(A.get("workload", "bt,is"));
   for (const std::string &Name : Workload)
@@ -333,7 +340,10 @@ int cmdExperts(const Args &A) {
     return 0;
   }
 
-  unsigned K = A.getUnsigned("num", 4);
+  // The expert builder splits the corpus into 1, 2, 4 or 8 experts.
+  unsigned K = A.getUnsigned("num", 4, 1, 8);
+  if (K & (K - 1))
+    A.reject("num");
   exp::PolicySet &Policies = exp::PolicySet::instance();
   const auto &Built = Policies.builtExperts(K);
 
@@ -371,11 +381,12 @@ int cmdFleet(const Args &A) {
   exp::FleetScenarioConfig Config;
   Config.Shards = A.getUnsigned("shards", 16);
   Config.Tenants = A.getUnsigned("tenants", 10000);
-  Config.Rounds = A.getUnsigned("rounds", 8);
+  Config.Rounds = A.getUnsigned("rounds", 8, 1);
   Config.TicksPerRound = A.getUnsigned("ticks", 25, 1);
   Config.ChurnRate = A.getDouble("churn", 0.01, 0.0, 1.0);
   Config.Seed = A.getSeed("seed", Config.Seed);
-  Config.StormShards = A.getUnsigned("storm-shards", 0);
+  // Storms hit a prefix of the shards, so it can be at most all of them.
+  Config.StormShards = A.getUnsigned("storm-shards", 0, 0, Config.Shards);
   Config.Policy = policyByName(A.get("policy", "mixture"));
   Config.TenantMaxThreads = A.getUnsigned("tenant-threads", 8, 1);
   Config.Jobs =

@@ -7,6 +7,7 @@
 #include "core/ExpertSelector.h"
 
 #include "linalg/Vector.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
@@ -15,7 +16,8 @@
 using namespace medley;
 using namespace medley::core;
 
-ExpertSelector::ExpertSelector(size_t NumExperts) : NumExperts(NumExperts) {
+ExpertSelector::ExpertSelector(size_t NumExperts)
+    : NumExperts(NumExperts), GateErrors(NumExperts), GateWeights(NumExperts) {
   assert(NumExperts >= 1 && "selector needs at least one expert");
 }
 
@@ -32,6 +34,23 @@ size_t ExpertSelector::winnerOfSpan(const double *Errors, size_t N) {
 
 bool ExpertSelector::blendWeights(const Vec &, Vec &) { return false; }
 
+GateResult ExpertSelector::gate(const Vec &PendingFeatures,
+                                const double *Errors, const Vec &Features,
+                                bool Soft, double *Weights, size_t &Chosen) {
+  if (Errors) {
+    std::copy(Errors, Errors + NumExperts, GateErrors.begin());
+    update(PendingFeatures, GateErrors);
+  }
+  if (allQuarantined())
+    return GateResult::AllQuarantined;
+  if (Soft && blendWeights(Features, GateWeights)) {
+    std::copy(GateWeights.begin(), GateWeights.begin() + NumExperts, Weights);
+    return GateResult::Blend;
+  }
+  Chosen = select(Features);
+  return GateResult::Single;
+}
+
 bool ExpertSelector::isQuarantined(size_t) const { return false; }
 
 bool ExpertSelector::allQuarantined() const { return false; }
@@ -45,33 +64,8 @@ Vec ExpertSelector::softmaxOfErrors(const Vec &Errors) {
 void ExpertSelector::softmaxOfErrorsInto(const double *Errors, size_t N,
                                          Vec &Weights) {
   assert(N > 0 && "empty error vector");
-  // Mean and minimum in one pass: the sum accumulates in index order
-  // exactly as before, and the running minimum is comparison-only, so the
-  // fusion cannot change any result bit.
-  double Mean = Errors[0];
-  double MinError = Errors[0];
-  for (size_t K = 1; K < N; ++K) {
-    Mean += Errors[K];
-    if (Errors[K] < MinError)
-      MinError = Errors[K];
-  }
-  Mean /= static_cast<double>(N);
-  double Tau = std::max(1e-9, 0.3 * Mean);
-
   Weights.resize(N);
-  double Sum = 0.0;
-  for (size_t K = 0; K < N; ++K) {
-    const double Gap = Errors[K] - MinError;
-    // An error equal to the minimum gives exp(-0.0 / Tau) == 1.0 exactly,
-    // so the call is skipped. The test must be exact: a tolerance would
-    // change bits, and testing the minimum's index instead would turn a
-    // NaN gap (a NaN first error) into 1.0 rather than NaN.
-    // medley-lint: allow(float-equality) exact zero gap, see above
-    Weights[K] = Gap == 0.0 ? 1.0 : std::exp(-Gap / Tau);
-    Sum += Weights[K];
-  }
-  for (double &W : Weights)
-    W /= Sum;
+  softmaxOfErrorsSpan(Errors, N, Weights.data());
 }
 
 //===----------------------------------------------------------------------===//
@@ -370,64 +364,52 @@ RegimeSelector::RegimeSelector(std::vector<int> RegimeTags, double Alpha)
     : ExpertSelector(RegimeTags.size()), RegimeTags(std::move(RegimeTags)),
       Alpha(Alpha) {
   assert(Alpha > 0.0 && Alpha <= 1.0 && "invalid EMA step");
+  // The state is sized for the scoring bank's lanes; every caller builds
+  // 1, 2, 4 or 8 experts.
+  if (NumExperts == 0 || NumExperts > MaxExperts)
+    reportFatalError("regime gate over " + std::to_string(NumExperts) +
+                     " experts; it takes 1 to " + std::to_string(MaxExperts));
   // The tags never change, so each regime's candidates (the experts whose
   // tag fits it, or all of them if none does) are listed once, here.
   for (int Want = 0; Want < 2; ++Want) {
-    std::vector<size_t> &Matching = Candidates[Want];
+    Regime &R = Regimes[Want];
     for (size_t K = 0; K < NumExperts; ++K)
       if (this->RegimeTags[K] == Want || this->RegimeTags[K] == -1)
-        Matching.push_back(K);
-    if (Matching.empty())
+        R.Experts[R.Count++] = K;
+    if (R.Count == 0)
       for (size_t K = 0; K < NumExperts; ++K)
-        Matching.push_back(K);
+        R.Experts[R.Count++] = K;
+    R.Slot.fill(-1);
+    for (size_t I = 0; I < R.Count; ++I)
+      R.Slot[R.Experts[I]] = static_cast<int>(I);
   }
   reset();
 }
 
-bool RegimeSelector::contended(const Vec &Features) {
-  // f6 (runq-sz) vs f5 (processors); see policy::featureNames().
-  assert(Features.size() >= 6 && "feature vector too short");
-  return Features[5] > Features[4];
-}
-
 size_t RegimeSelector::select(const Vec &Features) {
-  const std::vector<size_t> &Matching = Candidates[contended(Features)];
-  size_t Best = Matching.front();
-  for (size_t K : Matching)
-    if (ErrorEma[K] < ErrorEma[Best])
-      Best = K;
+  const Regime &R = Regimes[contended(Features)];
+  size_t Best = R.Experts[0];
+  for (size_t I = 0; I < R.Count; ++I)
+    if (ErrorEma[R.Experts[I]] < ErrorEma[Best])
+      Best = R.Experts[I];
   return Best;
 }
 
 void RegimeSelector::update(const Vec &, const Vec &Errors) {
   assert(Errors.size() == NumExperts && "error vector arity mismatch");
-  if (!Trained) {
-    ErrorEma = Errors;
-    Trained = true;
-    return;
-  }
-  for (size_t K = 0; K < NumExperts; ++K)
-    ErrorEma[K] += Alpha * (Errors[K] - ErrorEma[K]);
+  fold(Errors.data());
 }
 
 bool RegimeSelector::blendWeights(const Vec &Features, Vec &Weights) {
   if (!Trained)
     return false;
-  const std::vector<size_t> &Matching = Candidates[contended(Features)];
-  // Gather the candidates' EMAs into the front of Weights, which is about
-  // to be overwritten anyway, and take their softmax.
   Weights.resize(NumExperts);
-  for (size_t I = 0; I < Matching.size(); ++I)
-    Weights[I] = ErrorEma[Matching[I]];
-  softmaxOfErrorsInto(Weights.data(), Matching.size(), ScratchInner);
-  std::fill(Weights.begin(), Weights.end(), 0.0);
-  for (size_t I = 0; I < Matching.size(); ++I)
-    Weights[Matching[I]] = ScratchInner[I];
+  blendInto(Features, Weights.data());
   return true;
 }
 
 void RegimeSelector::reset() {
-  ErrorEma.assign(NumExperts, 0.0);
+  ErrorEma.fill(0.0);
   Trained = false;
 }
 

@@ -30,10 +30,21 @@
 #include "support/FaultStats.h"
 #include "support/Random.h"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <cmath>
 #include <memory>
 #include <string>
 
 namespace medley::core {
+
+/// What one gate() call decided.
+enum class GateResult {
+  Blend,         ///< The weights hold a distribution over the experts.
+  Single,        ///< One expert is chosen.
+  AllQuarantined ///< Every expert is quarantined; none can be trusted.
+};
 
 /// Online gating model: maps a feature vector to an expert index and
 /// learns from last-timestep supervision.
@@ -48,6 +59,17 @@ public:
   /// |‖ê_t^k‖ − ‖e_t‖| of the decision made at \p Features, evaluated one
   /// timestep later. The winning expert is argmin of \p Errors.
   virtual void update(const Vec &Features, const Vec &Errors) = 0;
+
+  /// One mixture decision's whole gate. First folds the previous
+  /// decision's numExperts() errors \p Errors, judged at
+  /// \p PendingFeatures, exactly as update() does (\p Errors is null when
+  /// no decision is pending). Then reports AllQuarantined, or fills the
+  /// numExperts() \p Weights as blendWeights() does (only when \p Soft),
+  /// or sets \p Chosen as select() does. The default runs those stages in
+  /// that order; a selector may fuse them as long as every bit agrees.
+  virtual GateResult gate(const Vec &PendingFeatures, const double *Errors,
+                          const Vec &Features, bool Soft, double *Weights,
+                          size_t &Chosen);
 
   /// Index of the expert with the smallest error (ties to the lowest
   /// index).
@@ -70,6 +92,40 @@ public:
   static void softmaxOfErrorsInto(const double *Errors, size_t N,
                                   Vec &Weights);
 
+  /// The softmax itself, \p N errors to \p N weights (distinct buffers).
+  /// Inline so the regime gate's fused pass compiles it in place.
+  static void softmaxOfErrorsSpan(const double *Errors, size_t N,
+                                  double *Weights) {
+    // Mean and minimum in one pass: the sum accumulates in index order,
+    // and the running minimum is comparison-only, so the fusion cannot
+    // change any result bit. The mean is divided by N, never multiplied
+    // by its reciprocal, which would move bits.
+    double Mean = Errors[0];
+    double MinError = Errors[0];
+    for (size_t K = 1; K < N; ++K) {
+      Mean += Errors[K];
+      if (Errors[K] < MinError)
+        MinError = Errors[K];
+    }
+    Mean /= static_cast<double>(N);
+    double Tau = std::max(1e-9, 0.3 * Mean);
+
+    double Sum = 0.0;
+    for (size_t K = 0; K < N; ++K) {
+      const double Gap = Errors[K] - MinError;
+      // An error equal to the minimum gives exp(-0.0 / Tau) == 1.0
+      // exactly, so the call is skipped. The test must be exact: a
+      // tolerance would change bits, and testing the minimum's index
+      // instead would turn a NaN gap (a NaN first error) into 1.0 rather
+      // than NaN.
+      // medley-lint: allow(float-equality) exact zero gap, see above
+      Weights[K] = Gap == 0.0 ? 1.0 : std::exp(-Gap / Tau);
+      Sum += Weights[K];
+    }
+    for (size_t K = 0; K < N; ++K)
+      Weights[K] /= Sum;
+  }
+
   /// Rewinds online adaptation.
   virtual void reset() = 0;
 
@@ -88,6 +144,13 @@ public:
 protected:
   explicit ExpertSelector(size_t NumExperts);
   size_t NumExperts;
+
+private:
+  /// The default gate()'s errors and weights in the Vec form update()
+  /// and blendWeights() take; sized at construction, so it never
+  /// allocates.
+  Vec GateErrors;
+  Vec GateWeights;
 };
 
 /// Paper-faithful ordered-boundary selector: experts occupy consecutive
@@ -206,9 +269,18 @@ private:
 /// the regime, and recent environment accuracy ranks the experts inside
 /// it. This is the converged form of the learned partition: the regime
 /// boundary is exactly where the scheduler's oversubscription kinks are.
-class RegimeSelector : public ExpertSelector {
+///
+/// The deployed gate. Its state is fixed-size, and gate() is one fused
+/// pass defined here, so MixtureOfExperts calls it directly and inlines it
+/// (DESIGN.md §11). update(), blendWeights() and select() run the same
+/// pieces, so each piece of arithmetic exists once.
+class RegimeSelector final : public ExpertSelector {
 public:
+  /// Most experts one regime gate takes (the scoring bank's lanes).
+  static constexpr size_t MaxExperts = 8;
+
   /// Regime tag per expert: 0 = uncontended, 1 = contended, -1 = any.
+  /// Takes 1 to MaxExperts experts.
   RegimeSelector(std::vector<int> RegimeTags, double Alpha = 0.25);
 
   size_t select(const Vec &Features) override;
@@ -218,17 +290,66 @@ public:
   std::unique_ptr<ExpertSelector> clone() const override;
   const std::string &name() const override;
 
+  GateResult gate(const Vec &, const double *Errors, const Vec &Features,
+                  bool Soft, double *Weights, size_t &Chosen) override {
+    if (Errors)
+      fold(Errors);
+    // An untrained gate has no accuracy to weigh by: it chooses.
+    if (!Soft || !Trained) {
+      Chosen = select(Features);
+      return GateResult::Single;
+    }
+    blendInto(Features, Weights);
+    return GateResult::Blend;
+  }
+
 private:
   /// True when the current state is oversubscribed.
-  static bool contended(const Vec &Features);
+  static bool contended(const Vec &Features) {
+    // f6 (runq-sz) vs f5 (processors); see policy::featureNames().
+    assert(Features.size() >= 6 && "feature vector too short");
+    return Features[5] > Features[4];
+  }
+
+  /// The EMA step over every expert's error; the first copies them.
+  void fold(const double *Errors) {
+    if (!Trained) {
+      std::copy(Errors, Errors + NumExperts, ErrorEma.begin());
+      Trained = true;
+      return;
+    }
+    for (size_t K = 0; K < NumExperts; ++K)
+      ErrorEma[K] += Alpha * (Errors[K] - ErrorEma[K]);
+  }
+
+  /// Softmax over the current regime's candidates, scattered into
+  /// \p Weights (numExperts() of them, zero outside the regime). Each
+  /// weight is written once, with no fill before the scatter: the blend
+  /// reads them straight back.
+  void blendInto(const Vec &Features, double *Weights) const {
+    const Regime &R = Regimes[contended(Features)];
+    // Not zeroed: only the first R.Count of each are written and read.
+    std::array<double, MaxExperts> Gathered, Inner;
+    for (size_t I = 0; I < R.Count; ++I)
+      Gathered[I] = ErrorEma[R.Experts[I]];
+    softmaxOfErrorsSpan(Gathered.data(), R.Count, Inner.data());
+    for (size_t K = 0; K < NumExperts; ++K)
+      Weights[K] = R.Slot[K] < 0 ? 0.0 : Inner[R.Slot[K]];
+  }
+
+  /// The experts whose tag fits one regime, in index order, or all of them
+  /// if no tag does; fixed at construction. Slot[k] is expert k's place in
+  /// that list, or -1 outside it.
+  struct Regime {
+    std::array<size_t, MaxExperts> Experts{};
+    std::array<int, MaxExperts> Slot{};
+    size_t Count = 0;
+  };
 
   std::vector<int> RegimeTags;
   double Alpha;
-  /// Experts whose tag fits each regime (index contended()), all of them
-  /// if no tag does; fixed at construction.
-  std::vector<size_t> Candidates[2];
-  Vec ErrorEma;
-  Vec ScratchInner; ///< Reused blend softmax buffer.
+  Regime Regimes[2]; ///< Indexed by contended().
+  std::array<double, MaxExperts> ErrorEma{};
   bool Trained = false;
 };
 

@@ -28,8 +28,9 @@ MixtureOfExperts::MixtureOfExperts(
 
   const size_t K = this->Experts->size();
   PendingEnvPredictions.resize(K);
-  ScratchErrors.resize(K);
-  ScratchThreadPreds.resize(K);
+  if (K > ExpertBank::MaxLanes)
+    WideScratch.resize(2 * K);
+  Regime = dynamic_cast<RegimeSelector *>(this->Selector.get());
 
   // Pack linear experts, at most the bank's lanes of them, into the
   // scoring bank; other sets (external experts, more than 8) are scored one
@@ -48,6 +49,8 @@ MixtureOfExperts::MixtureOfExperts(
   }
   if (Linear)
     Bank.pack(Thread.data(), Env.data(), K);
+  if (Bank.lanes())
+    PendingFeatures.resize(policy::NumFeatures);
 }
 
 unsigned
@@ -62,25 +65,31 @@ MixtureOfExperts::expertThreads(size_t K,
 
 void MixtureOfExperts::stashPending(const policy::FeatureVector &Features,
                                     size_t Chosen) {
-  PendingFeatures = Features.Values;
-  if (!Bank.lanes())
+  if (Bank.lanes()) {
+    // Banked features are exactly NumFeatures long (the bank scores that
+    // many), so the copy has a fixed size and compiles to a few moves.
+    std::copy_n(Features.Values.data(), policy::NumFeatures,
+                PendingFeatures.data());
+  } else {
+    PendingFeatures = Features.Values;
     for (size_t K = 0; K < Experts->size(); ++K)
       PendingEnvPredictions[K] = (*Experts)[K].predictEnvNorm(Features);
+  }
   PendingChosen = Chosen;
   HasPending = true;
 }
 
-void MixtureOfExperts::judgePreviousDecision(
-    const policy::FeatureVector &Features) {
+bool MixtureOfExperts::judgePreviousDecision(
+    const policy::FeatureVector &Features, double *Errors) {
   if (!HasPending)
-    return;
+    return false;
+  HasPending = false;
 
   // How far off was each expert's environment prediction made at the
   // previous region, now that the environment is observable?
   double Observed = Features.EnvNorm;
   for (size_t K = 0; K < PendingEnvPredictions.size(); ++K)
-    ScratchErrors[K] = std::fabs(PendingEnvPredictions[K] - Observed);
-  Selector->update(PendingFeatures, ScratchErrors);
+    Errors[K] = std::fabs(PendingEnvPredictions[K] - Observed);
 
   // Experts that learn their environment model online (Section 4.1's
   // retrofit path) receive the realised observation.
@@ -92,22 +101,27 @@ void MixtureOfExperts::judgePreviousDecision(
     double Tolerance =
         Options.EnvAccuracyTolerance * std::max(Observed, 1e-6);
     for (size_t K = 0; K < PendingEnvPredictions.size(); ++K) {
-      bool Accurate =
-          std::fabs(PendingEnvPredictions[K] - Observed) <= Tolerance;
       ++Stats->EnvTotal[K];
-      if (Accurate)
+      if (Errors[K] <= Tolerance)
         ++Stats->EnvAccurate[K];
     }
     ++Stats->MixtureEnvTotal;
-    if (std::fabs(PendingEnvPredictions[PendingChosen] - Observed) <=
-        Tolerance)
+    if (Errors[PendingChosen] <= Tolerance)
       ++Stats->MixtureEnvAccurate;
   }
-  HasPending = false;
+  return true;
 }
 
 unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
-  judgePreviousDecision(Features);
+  // This decision's per-expert errors, then its gate weights. The array
+  // is not zeroed: every element is written before it is read, and
+  // zeroing it and the gate's locals cost ~8% of a decision.
+  const size_t K = Experts->size();
+  std::array<double, 2 * ExpertBank::MaxLanes> OnStack;
+  double *Errors =
+      K <= ExpertBank::MaxLanes ? OnStack.data() : WideScratch.data();
+  double *Weights = Errors + K;
+  const bool Judged = judgePreviousDecision(Features, Errors);
 
   if (Options.Faults && Features.SanitizedCount > 0)
     Options.Faults->SanitizedValues += Features.SanitizedCount;
@@ -122,16 +136,27 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
     Bank.score(Features.Values.data(), RawThreads.data(),
                PendingEnvPredictions.data());
     // Expert::predictEnvNorm clamps the raw prediction at zero.
-    for (size_t K = 0; K < Experts->size(); ++K)
-      PendingEnvPredictions[K] = std::max(0.0, PendingEnvPredictions[K]);
+    for (size_t E = 0; E < K; ++E)
+      PendingEnvPredictions[E] = std::max(0.0, PendingEnvPredictions[E]);
   }
 
-  if (Selector->allQuarantined()) {
+  // The one selector call: it folds the judged errors, then blends,
+  // chooses or reports the ladder's floor. The regime gate is called
+  // directly, so its fused pass inlines here.
+  const double *Folded = Judged ? Errors : nullptr;
+  size_t Chosen = 0;
+  const GateResult Gate =
+      Regime ? Regime->gate(PendingFeatures, Folded, Features.Values,
+                            Options.SoftBlend, Weights, Chosen)
+             : Selector->gate(PendingFeatures, Folded, Features.Values,
+                              Options.SoftBlend, Weights, Chosen);
+
+  if (Gate == GateResult::AllQuarantined) {
     // The ladder's floor: every expert's environment predictor has
     // diverged, so no expert can be trusted. Degrade to exactly the
     // OpenMP-default behaviour (n = available processors) while the
-    // quarantine backoffs run down; judging continues below, so experts
-    // are re-admitted and the mixture resumes automatically.
+    // quarantine backoffs run down; judging continues, so experts are
+    // re-admitted and the mixture resumes automatically.
     if (Options.Faults)
       ++Options.Faults->DefaultFallbacks;
     unsigned Threads =
@@ -140,30 +165,22 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
     return Threads;
   }
 
-  size_t Chosen;
   unsigned Threads;
-  bool HaveThreadPreds = false;
-  Vec &Weights = ScratchWeights;
-  if (Options.SoftBlend &&
-      Selector->blendWeights(Features.Values, Weights)) {
+  if (Gate == GateResult::Blend) {
     // Soft gating: accuracy-weighted blend of the expert predictions.
     double Blend = 0.0;
     double BestWeight = -1.0;
     Chosen = 0;
-    for (size_t K = 0; K < Experts->size(); ++K) {
-      unsigned N = expertThreads(K, Features);
-      ScratchThreadPreds[K] = N;
-      Blend += Weights[K] * static_cast<double>(N);
-      if (Weights[K] > BestWeight) {
-        BestWeight = Weights[K];
-        Chosen = K;
+    for (size_t E = 0; E < K; ++E) {
+      Blend += Weights[E] * static_cast<double>(expertThreads(E, Features));
+      if (Weights[E] > BestWeight) {
+        BestWeight = Weights[E];
+        Chosen = E;
       }
     }
-    HaveThreadPreds = true;
     Threads = policy::roundThreads(Blend, Features.MaxThreads);
   } else {
-    Chosen = Selector->select(Features.Values);
-    assert(Chosen < Experts->size() && "selector returned a bad index");
+    assert(Chosen < K && "selector returned a bad index");
     Threads = expertThreads(Chosen, Features);
   }
   LastExpert = Chosen;
@@ -175,13 +192,9 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   if (Stats) {
     ++Stats->SelectionCounts[Chosen];
     Stats->MixtureThreads.add(Threads);
-    // predictThreads is pure, so the per-expert predictions cached by the
-    // blend loop above are exactly what a recomputation would produce.
-    if (!HaveThreadPreds)
-      for (size_t K = 0; K < Experts->size(); ++K)
-        ScratchThreadPreds[K] = expertThreads(K, Features);
-    for (size_t K = 0; K < Experts->size(); ++K)
-      Stats->ExpertThreads[K].add(ScratchThreadPreds[K]);
+    // expertThreads is pure: recomputing it gives the blend's values.
+    for (size_t E = 0; E < K; ++E)
+      Stats->ExpertThreads[E].add(expertThreads(E, Features));
   }
   return Threads;
 }

@@ -9,10 +9,10 @@
 /// At every parallel region the policy
 ///   1. judges the *previous* decision: each expert's environment
 ///      prediction made then is compared against the environment norm
-///      observed now, and the selector is updated with the winner
-///      (M(f_t) = argmin_k | ||ê_t^k|| - ||e_t|| |);
-///   2. asks the selector for the expert best suited to the current
-///      features and emits that expert's thread prediction.
+///      observed now (M(f_t) = argmin_k | ||ê_t^k|| - ||e_t|| |);
+///   2. makes one gate call, which folds those errors into the selector
+///      and then picks the expert best suited to the current features (or
+///      weighs them all), and emits that expert's thread prediction.
 /// No expert is ever "tried out": evaluation is entirely through the
 /// environment-prediction proxy, so there is no exploration overhead.
 ///
@@ -77,7 +77,12 @@ public:
   bool banked() const { return Bank.lanes() != 0; }
 
 private:
-  void judgePreviousDecision(const policy::FeatureVector &Features);
+  /// Judges the pending decision, if there is one: writes each expert's
+  /// environment error into \p Errors, feeds the online environment
+  /// observers and the statistics, and returns true. Runs before the bank
+  /// overwrites PendingEnvPredictions.
+  bool judgePreviousDecision(const policy::FeatureVector &Features,
+                             double *Errors);
 
   /// Thread prediction of expert \p K for this decision: the bank's folded
   /// score rounded when banked, else Expert::predictThreads.
@@ -96,19 +101,21 @@ private:
   std::shared_ptr<MoeStats> Stats;
   MixtureOptions Options;
 
+  /// The selector when it is the regime gate, else null: select() then
+  /// calls its fused gate directly instead of through the virtual.
+  RegimeSelector *Regime = nullptr;
+
   bool HasPending = false;
   Vec PendingFeatures;
   Vec PendingEnvPredictions;
   size_t PendingChosen = 0;
   size_t LastExpert = 0;
 
-  // Per-decision scratch: sized per expert in the constructor (the
-  // selector sizes the weights), so the steady-state path never allocates.
-  // Instances are per-worker (factory clones), so plain members need no
-  // synchronisation.
-  Vec ScratchErrors;
-  Vec ScratchWeights;
-  std::vector<unsigned> ScratchThreadPreds;
+  /// A decision's per-expert errors and gate weights (2 x K) when there
+  /// are more experts than the bank's lanes; smaller sets keep them in a
+  /// fixed-size array on the stack. Sized in the constructor, so no
+  /// decision allocates.
+  Vec WideScratch;
 
   /// Every expert's thread and environment model, packed with each
   /// model's scaler folded into its weights when the experts are linear

@@ -107,11 +107,8 @@ uint64_t FleetEngine::shardSeed(unsigned Shard) const {
 void FleetEngine::seedTenants(
     const std::function<void(unsigned Shard, Rng &ChurnRng, Simulation &Sim)>
         &Seeder) {
-  for (unsigned S = 0; S < Shards.size(); ++S) {
+  for (unsigned S = 0; S < Shards.size(); ++S)
     Seeder(S, Shards[S]->ChurnRng, *Shards[S]->Sim);
-    Shards[S]->Stats.TasksAlive = Shards[S]->Sim->numTasks();
-    Shards[S]->Stats.RunnableThreads = Shards[S]->Sim->runnableThreads();
-  }
 }
 
 void FleetEngine::setChurnHook(ChurnHook Hook) { Churn = std::move(Hook); }
@@ -135,8 +132,6 @@ void FleetEngine::stepShard(unsigned Shard, unsigned Ticks) {
             .count()));
   }
   S.Stats.Ticks += Ticks;
-  S.Stats.TasksAlive = Sim.numTasks();
-  S.Stats.RunnableThreads = Sim.runnableThreads();
 }
 
 void FleetEngine::drainInbox(unsigned Shard) {
@@ -157,8 +152,6 @@ void FleetEngine::drainInbox(unsigned Shard) {
     }
     Box.clear();
   }
-  Dst.Stats.TasksAlive = Dst.Sim->numTasks();
-  Dst.Stats.RunnableThreads = Dst.Sim->runnableThreads();
 }
 
 void FleetEngine::runChurn(unsigned Shard, uint64_t Round) {
@@ -169,8 +162,6 @@ void FleetEngine::runChurn(unsigned Shard, uint64_t Round) {
   S.Scratch.reset();
   MailSink Sink(*this, Shard);
   Churn(Shard, Round, S.ChurnRng, *S.Sim, S.Scratch, Sink);
-  S.Stats.TasksAlive = S.Sim->numTasks();
-  S.Stats.RunnableThreads = S.Sim->runnableThreads();
 }
 
 void FleetEngine::postMail(unsigned DstShard, unsigned SrcShard,
@@ -218,11 +209,6 @@ void FleetEngine::run(support::ThreadPool &Pool, uint64_t Rounds,
   }
 }
 
-const FleetShardStats &FleetEngine::shardStats(unsigned Shard) const {
-  assert(Shard < Shards.size());
-  return Shards[Shard]->Stats;
-}
-
 const support::LatencyHistogram &
 FleetEngine::shardLatency(unsigned Shard) const {
   assert(Shard < Shards.size());
@@ -235,8 +221,9 @@ FleetStats FleetEngine::reduce() const {
   uint64_t Hash = support::fnv1aInit();
   for (const std::unique_ptr<Shard> &S : Shards) {
     FleetShardStats Stats = S->Stats;
-    // Liveness columns re-read at reduction time so a reduce() between
-    // rounds (or before any round) reflects the simulations as they are.
+    // The liveness columns are read here and nowhere else, so a reduce()
+    // between rounds (or before any round) reflects the simulations as
+    // they are, and no round pays a pass over the shard's tasks for them.
     Stats.TasksAlive = S->Sim->numTasks();
     Stats.RunnableThreads = S->Sim->runnableThreads();
 

@@ -78,8 +78,8 @@ struct FleetShardStats {
   uint64_t Ticks = 0;             ///< Simulation ticks executed.
   uint64_t ArrivalsDelivered = 0; ///< Tenants adopted from the mailbox.
   uint64_t DeparturesSent = 0;    ///< Tokens posted to other shards.
-  uint64_t TasksAlive = 0;        ///< Live tenants after the last round.
-  uint64_t RunnableThreads = 0;   ///< Runnable threads after the last round.
+  uint64_t TasksAlive = 0;        ///< Live tenants (filled by reduce()).
+  uint64_t RunnableThreads = 0;   ///< Runnable threads (filled by reduce()).
 };
 
 /// Fleet-wide reduction result: per-shard stats in shard-id order plus
@@ -171,15 +171,12 @@ public:
   void drainInbox(unsigned Shard);
   void runChurn(unsigned Shard, uint64_t Round);
 
-  /// Deterministic per-shard aggregates (valid between rounds / after
-  /// run()).
-  const FleetShardStats &shardStats(unsigned Shard) const;
-
   /// Per-shard tick-latency histogram (wall-clock; NOT deterministic).
   const support::LatencyHistogram &shardLatency(unsigned Shard) const;
 
-  /// Two-level deterministic reduction: refreshes the liveness columns of
-  /// every per-shard stat block, then merges them in shard-id order.
+  /// Two-level deterministic reduction: reads the liveness columns of
+  /// every per-shard stat block off the simulations, then merges the
+  /// blocks in shard-id order.
   FleetStats reduce() const;
 
   /// Merged tick-latency histogram (shard-id-ordered merge; the merge is

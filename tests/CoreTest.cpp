@@ -61,6 +61,18 @@ policy::FeatureVector makeFeatures(double EnvNorm = 1.0,
 
 FeatureScaler tenDimScaler() { return FeatureScaler::identity(10); }
 
+uint64_t hashDouble(uint64_t Hash, double V) {
+  return support::fnv1aWord(Hash, std::bit_cast<uint64_t>(V));
+}
+
+/// The bits of \p V, with every NaN as one quiet NaN: IEEE leaves a NaN
+/// result's sign and payload unspecified, and the optimiser may flip the
+/// sign (-x / y as x / -y), so they differ between build types.
+uint64_t valueBits(double V) {
+  return std::bit_cast<uint64_t>(
+      std::isnan(V) ? std::numeric_limits<double>::quiet_NaN() : V);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -637,6 +649,21 @@ externalTwins(std::shared_ptr<const std::vector<Expert>> Linear) {
   return Twins;
 }
 
+/// Every selector kind the mixture can be built with; "quarantine" wraps
+/// the regime gate, as the hardened mixture does.
+const char *const AllSelectorKinds[] = {
+    "regime", "accuracy",   "quarantine", "hyperplane",
+    "binned", "perceptron", "random",     "fixed"};
+
+/// A scaler fitted to randomFeatures, for the contextual selectors.
+FeatureScaler differentialScaler() {
+  Rng Gen(0x5CA1E);
+  std::vector<Vec> Corpus;
+  for (int I = 0; I < 200; ++I)
+    Corpus.push_back(randomFeatures(Gen));
+  return FeatureScaler::fit(Corpus);
+}
+
 std::unique_ptr<ExpertSelector> differentialSelector(const std::string &Kind,
                                                      size_t K) {
   std::vector<int> Tags;
@@ -647,6 +674,16 @@ std::unique_ptr<ExpertSelector> differentialSelector(const std::string &Kind,
   if (Kind == "quarantine")
     return std::make_unique<QuarantineSelector>(
         std::make_unique<RegimeSelector>(Tags));
+  if (Kind == "hyperplane")
+    return std::make_unique<HyperplaneSelector>(K, differentialScaler());
+  if (Kind == "binned")
+    return std::make_unique<BinnedAccuracySelector>(K, differentialScaler());
+  if (Kind == "perceptron")
+    return std::make_unique<PerceptronSelector>(K, differentialScaler());
+  if (Kind == "random")
+    return std::make_unique<RandomSelector>(K, 0x5EED);
+  if (Kind == "fixed")
+    return std::make_unique<FixedSelector>(K, K / 2);
   return std::make_unique<RegimeSelector>(Tags);
 }
 
@@ -673,7 +710,9 @@ struct DifferentialRun {
   std::vector<unsigned> Threads;
   std::vector<size_t> Chosen;
   std::vector<std::vector<size_t>> ExpertThreads;
-  std::vector<size_t> SelectionCounts, EnvAccurate;
+  std::vector<size_t> SelectionCounts, EnvAccurate, EnvTotal;
+  std::vector<size_t> MixtureThreads;
+  size_t MixtureEnvAccurate = 0, MixtureEnvTotal = 0;
   uint64_t Fallbacks = 0;
   bool Banked = false;
 };
@@ -699,8 +738,34 @@ runDifferential(std::shared_ptr<const std::vector<Expert>> Experts,
     Run.ExpertThreads.push_back(H.bucketize(1, 64));
   Run.SelectionCounts = Stats->SelectionCounts;
   Run.EnvAccurate = Stats->EnvAccurate;
+  Run.EnvTotal = Stats->EnvTotal;
+  Run.MixtureThreads = Stats->MixtureThreads.bucketize(1, 64);
+  Run.MixtureEnvAccurate = Stats->MixtureEnvAccurate;
+  Run.MixtureEnvTotal = Stats->MixtureEnvTotal;
   Run.Fallbacks = Faults.DefaultFallbacks;
   return Run;
+}
+
+uint64_t hashWords(uint64_t Hash, const auto &Words) {
+  Hash = support::fnv1aWord(Hash, Words.size());
+  for (auto W : Words)
+    Hash = support::fnv1aWord(Hash, W);
+  return Hash;
+}
+
+/// Every output of one differential run, in a fixed order.
+uint64_t hashRun(uint64_t Hash, const DifferentialRun &Run) {
+  Hash = hashWords(Hash, Run.Threads);
+  Hash = hashWords(Hash, Run.Chosen);
+  for (const std::vector<size_t> &Buckets : Run.ExpertThreads)
+    Hash = hashWords(Hash, Buckets);
+  Hash = hashWords(Hash, Run.SelectionCounts);
+  Hash = hashWords(Hash, Run.EnvAccurate);
+  Hash = hashWords(Hash, Run.EnvTotal);
+  Hash = hashWords(Hash, Run.MixtureThreads);
+  Hash = support::fnv1aWord(Hash, Run.MixtureEnvAccurate);
+  Hash = support::fnv1aWord(Hash, Run.MixtureEnvTotal);
+  return support::fnv1aWord(Hash, Run.Fallbacks);
 }
 
 } // namespace
@@ -741,6 +806,111 @@ TEST(MixtureTest, BankMatchesPerExpertPathBitwise) {
         }
     }
   }
+}
+
+TEST(SelectorTest, GateMatchesComposition) {
+  // gate() is one call for the stages a decision used to run one by one:
+  // update, the quarantine check, then blendWeights or select. Two clones
+  // of every selector walk one stream, one through each form, and must
+  // agree on every result, chosen index and weight bit (a NaN weight
+  // only on being NaN; see valueBits). The stream opens with the
+  // untrained first decision (no errors to fold) and carries a burst of
+  // non-finite errors that quarantines every expert. Three and five
+  // experts give softmaxes over counts that are not powers of two, where
+  // dividing by the count and multiplying by its reciprocal differ.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  uint64_t Hash = support::fnv1aInit();
+  for (size_t K : {1u, 2u, 3u, 4u, 5u, 8u}) {
+    Rng Gen(0x6A7E + K);
+    std::vector<Vec> Features, Errors;
+    for (int I = 0; I < 300; ++I) {
+      Features.push_back(randomFeatures(Gen));
+      Vec E(K);
+      for (double &X : E)
+        X = I >= 40 && I < 50 ? Inf : Gen.uniform(0.0, 4.0);
+      if (I == 120)
+        E[K - 1] = NaN;
+      Errors.push_back(E);
+    }
+    for (const char *Kind : AllSelectorKinds)
+      for (bool Soft : {true, false}) {
+        SCOPED_TRACE("K=" + std::to_string(K) + " " + Kind +
+                     (Soft ? " soft" : " hard"));
+        auto Prototype = differentialSelector(Kind, K);
+        auto Gated = Prototype->clone();
+        auto Staged = Prototype->clone();
+        Vec GateWeights(K), StagedWeights;
+        std::set<GateResult> Seen;
+        for (size_t I = 0; I < Features.size(); ++I) {
+          const Vec &Pending = Features[I == 0 ? 0 : I - 1];
+          size_t GateChosen = K;
+          GateResult Got =
+              Gated->gate(Pending, I == 0 ? nullptr : Errors[I].data(),
+                          Features[I], Soft, GateWeights.data(), GateChosen);
+
+          if (I > 0)
+            Staged->update(Pending, Errors[I]);
+          GateResult Want = GateResult::Single;
+          size_t StagedChosen = K;
+          if (Staged->allQuarantined())
+            Want = GateResult::AllQuarantined;
+          else if (Soft && Staged->blendWeights(Features[I], StagedWeights))
+            Want = GateResult::Blend;
+          else
+            StagedChosen = Staged->select(Features[I]);
+
+          ASSERT_EQ(Got, Want) << "decision " << I;
+          Seen.insert(Got);
+          Hash = support::fnv1aWord(Hash, static_cast<uint64_t>(Want));
+          if (Want == GateResult::Single) {
+            ASSERT_EQ(GateChosen, StagedChosen) << "decision " << I;
+            Hash = support::fnv1aWord(Hash, StagedChosen);
+          }
+          if (Want == GateResult::Blend) {
+            for (size_t E = 0; E < K; ++E) {
+              ASSERT_EQ(valueBits(GateWeights[E]), valueBits(StagedWeights[E]))
+                  << "decision " << I << ", weight " << E;
+              Hash = support::fnv1aWord(Hash, valueBits(StagedWeights[E]));
+            }
+          }
+        }
+        // The stream reaches every result the selector can give.
+        EXPECT_TRUE(Seen.count(GateResult::Single));
+        const std::string Name = Kind;
+        if (Soft && (Name == "regime" || Name == "accuracy" ||
+                     Name == "binned" || Name == "quarantine")) {
+          EXPECT_TRUE(Seen.count(GateResult::Blend));
+        }
+        if (Name == "quarantine") {
+          EXPECT_TRUE(Seen.count(GateResult::AllQuarantined));
+        }
+      }
+  }
+  // The stages' own outputs, pinned at the value the code before gate()
+  // produced: the two forms share their arithmetic, so only this digest
+  // sees a change to it.
+  EXPECT_EQ(Hash, 0xbe420360365b71e7ULL);
+}
+
+TEST(MixtureTest, DecisionsArePinned) {
+  // Every output of the mixture over the differential stream, for every
+  // selector kind, soft and hard gating and Fig 15c's expert counts, each
+  // scored through the bank and one by one. BankMatchesPerExpertPathBitwise
+  // compares two paths through the same gate, so it cannot see a change to
+  // the gate itself; this digest can. Decisions may get cheaper; they may
+  // not change a single bit.
+  uint64_t Hash = support::fnv1aInit();
+  for (size_t K : {1u, 2u, 4u, 8u}) {
+    auto Linear = builderShapedExperts(K);
+    auto External = externalTwins(Linear);
+    for (const char *Kind : AllSelectorKinds)
+      for (bool SoftBlend : {true, false}) {
+        Hash = hashRun(Hash, runDifferential(Linear, Kind, SoftBlend));
+        Hash = hashRun(Hash, runDifferential(External, Kind, SoftBlend));
+      }
+  }
+  EXPECT_EQ(Hash, 0xa22c01f293208ff9ULL);
 }
 
 TEST(MixtureTest, BankTakesEveryLinearSetOfAtMostEight) {
@@ -969,10 +1139,6 @@ TEST(ExpertBuilderTest, SubsampledBuildShrinksData) {
 }
 
 namespace {
-
-uint64_t hashDouble(uint64_t Hash, double V) {
-  return support::fnv1aWord(Hash, std::bit_cast<uint64_t>(V));
-}
 
 uint64_t hashModel(uint64_t Hash, const LinearModel &Model) {
   for (double W : Model.weights())

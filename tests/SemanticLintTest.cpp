@@ -452,6 +452,27 @@ TEST(HotpathEscapeTest, FleetStepShardIsADecisionEntry) {
   EXPECT_NE(Msgs.find("FleetEngine::stepShard"), std::string::npos) << Msgs;
 }
 
+TEST(HotpathEscapeTest, SelectorGateIsADecisionEntry) {
+  // gate() is the one selector call a mixture decision makes, so an
+  // allocation reachable from it is a hot-path escape like one under
+  // select or update.
+  std::string Src = "class FooSelector {\n"
+                    "public:\n"
+                    "  int gate(int N);\n"
+                    "private:\n"
+                    "  std::vector<int> History;\n"
+                    "};\n"
+                    "int FooSelector::gate(int N) {\n"
+                    "  History.push_back(N);\n"
+                    "  return N;\n"
+                    "}\n";
+  auto Findings = runSemanticRules(
+      linkCallGraph({indexSrc("src/core/FooSelector.cpp", Src)}));
+  std::string Msgs = messagesOf(Findings);
+  EXPECT_EQ(countRule(Findings, "hotpath-escape"), 1u) << Msgs;
+  EXPECT_NE(Msgs.find("FooSelector::gate"), std::string::npos) << Msgs;
+}
+
 //===----------------------------------------------------------------------===//
 // L12 arena-escape: origin + liveness dataflow on in-process snippets
 //===----------------------------------------------------------------------===//

@@ -596,7 +596,7 @@ bool medley::lint::isDecisionEntry(const CallGraph::Node &N) {
     return N.Name != N.Class && N.Name != "~" + N.Class; // not ctor/dtor
   if (EndsWith(N.Class, "Selector"))
     return N.Name == "select" || N.Name == "choose" || N.Name == "update" ||
-           N.Name == "blendWeights";
+           N.Name == "blendWeights" || N.Name == "gate";
   if (N.Name == "buildFeatures" &&
       N.Qual.find("policy::") != std::string::npos)
     return true;

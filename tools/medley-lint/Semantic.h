@@ -81,7 +81,7 @@ struct AnalyzeResult {
 
 /// True for the decision entry points L7 anchors on: MixtureOfExperts
 /// methods (minus constructor/destructor), selector
-/// select/choose/update/blendWeights, policy::buildFeatures, and
+/// select/choose/update/blendWeights/gate, policy::buildFeatures, and
 /// Simulation::step.
 bool isDecisionEntry(const CallGraph::Node &N);
 
