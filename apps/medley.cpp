@@ -193,9 +193,10 @@ int cmdSpeedup(const Args &A) {
   return 0;
 }
 
-/// Writes \p Trace to \p Path in the requested format: "columnar" is the
-/// binary format recorded at run time; "csv" runs the export post-pass
-/// immediately instead of leaving it for `medley trace-export`.
+/// Writes \p Trace to \p Path in \p Format, one of the two cmdCoexec
+/// accepts: "columnar" is the binary format recorded at run time; "csv"
+/// runs the export post-pass immediately instead of leaving it for
+/// `medley trace-export`.
 int writeTrace(const trace::TickTrace &Trace, const std::string &Path,
                const std::string &Format) {
   if (Format == "columnar") {
@@ -203,7 +204,7 @@ int writeTrace(const trace::TickTrace &Trace, const std::string &Path,
       std::cerr << E.str() << '\n';
       return 1;
     }
-  } else if (Format == "csv") {
+  } else {
     std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
     if (!OS) {
       std::cerr << "cannot open trace file for writing: " << Path << '\n';
@@ -214,10 +215,6 @@ int writeTrace(const trace::TickTrace &Trace, const std::string &Path,
       std::cerr << "trace CSV write failed: " << Path << '\n';
       return 1;
     }
-  } else {
-    std::cerr << "unknown trace format '" << Format
-              << "' (try: columnar, csv)\n";
-    return 1;
   }
   std::cout << "  trace: " << Trace.size() << " ticks -> " << Path << " ("
             << Format << ")\n";
@@ -238,6 +235,12 @@ int cmdCoexec(const Args &A) {
       std::cerr << "unknown workload program '" << Name << "'\n";
       return 1;
     }
+  const std::string TraceFormat = A.get("trace-format", "columnar");
+  if (TraceFormat != "columnar" && TraceFormat != "csv") {
+    std::cerr << "unknown trace format '" << TraceFormat
+              << "' (try: columnar, csv)\n";
+    return 1;
+  }
 
   runtime::CoExecutionConfig Config;
   // The availability ladder needs four cores, and walks its pattern once
@@ -269,8 +272,7 @@ int cmdCoexec(const Args &A) {
             << formatDouble(R.WorkloadThroughput, 2) << " work units/s\n";
 
   if (A.has("trace-out"))
-    if (int Rc = writeTrace(R.Trace, A.get("trace-out"),
-                            A.get("trace-format", "columnar")))
+    if (int Rc = writeTrace(R.Trace, A.get("trace-out"), TraceFormat))
       return Rc;
 
   if (A.has("timeline")) {

@@ -41,8 +41,6 @@ GateResult ExpertSelector::gate(const Vec &PendingFeatures,
     std::copy(Errors, Errors + NumExperts, GateErrors.begin());
     update(PendingFeatures, GateErrors);
   }
-  if (allQuarantined())
-    return GateResult::AllQuarantined;
   if (Soft && blendWeights(Features, GateWeights)) {
     std::copy(GateWeights.begin(), GateWeights.begin() + NumExperts, Weights);
     return GateResult::Blend;
@@ -50,10 +48,6 @@ GateResult ExpertSelector::gate(const Vec &PendingFeatures,
   Chosen = select(Features);
   return GateResult::Single;
 }
-
-bool ExpertSelector::isQuarantined(size_t) const { return false; }
-
-bool ExpertSelector::allQuarantined() const { return false; }
 
 Vec ExpertSelector::softmaxOfErrors(const Vec &Errors) {
   Vec Weights;
@@ -446,162 +440,6 @@ const std::string &RandomSelector::name() const {
   static const std::string Name = "random";
   return Name;
 }
-
-//===----------------------------------------------------------------------===//
-// QuarantineSelector
-//===----------------------------------------------------------------------===//
-
-QuarantineSelector::QuarantineSelector(std::unique_ptr<ExpertSelector> Inner,
-                                       QuarantineOptions Options,
-                                       support::FaultStats *Stats)
-    : ExpertSelector(Inner->numExperts()), Inner(std::move(Inner)),
-      Options(Options), Stats(Stats),
-      Name("quarantine:" + this->Inner->name()) {
-  assert(Options.DivergenceFactor > 1.0 && "divergence factor must exceed 1");
-  assert(Options.Strikes >= 1 && "need at least one strike");
-  assert(Options.BackoffUpdates >= 1 && "backoff must be positive");
-  States.assign(NumExperts, ExpertState());
-}
-
-bool QuarantineSelector::isQuarantined(size_t Expert) const {
-  assert(Expert < NumExperts && "expert index out of range");
-  return States[Expert].QuarantineRemaining > 0;
-}
-
-bool QuarantineSelector::allQuarantined() const {
-  for (const ExpertState &S : States)
-    if (S.QuarantineRemaining == 0)
-      return false;
-  return true;
-}
-
-size_t QuarantineSelector::healthyCount() const {
-  size_t Healthy = 0;
-  for (const ExpertState &S : States)
-    if (S.QuarantineRemaining == 0)
-      ++Healthy;
-  return Healthy;
-}
-
-size_t QuarantineSelector::bestHealthy() const {
-  size_t Best = SIZE_MAX;
-  for (size_t K = 0; K < NumExperts; ++K) {
-    if (States[K].QuarantineRemaining > 0)
-      continue;
-    if (Best == SIZE_MAX || States[K].ErrorEma < States[Best].ErrorEma)
-      Best = K;
-  }
-  return Best;
-}
-
-size_t QuarantineSelector::select(const Vec &Features) {
-  size_t Chosen = Inner->select(Features);
-  if (!isQuarantined(Chosen))
-    return Chosen;
-  // The inner model wants a quarantined expert: redirect to the healthy
-  // expert with the best recent error. With everything quarantined there
-  // is nothing to redirect to; the mixture detects that via
-  // allQuarantined() and falls back to default behaviour.
-  size_t Fallback = bestHealthy();
-  return Fallback == SIZE_MAX ? Chosen : Fallback;
-}
-
-void QuarantineSelector::update(const Vec &Features, const Vec &Errors) {
-  assert(Errors.size() == NumExperts && "error vector arity mismatch");
-
-  // Median of the finite errors — the yardstick a diverging expert is
-  // measured against. A wholly non-finite update strikes everyone.
-  ScratchFinite.clear();
-  for (double E : Errors)
-    if (std::isfinite(E))
-      // medley-lint: allow(hotpath-escape) — amortized sticky scratch.
-      ScratchFinite.push_back(E);
-  double Median = 0.0;
-  if (!ScratchFinite.empty()) {
-    std::sort(ScratchFinite.begin(), ScratchFinite.end());
-    Median = ScratchFinite[ScratchFinite.size() / 2];
-  }
-  double StrikeThreshold =
-      std::max(Options.DivergenceFactor * Median, Options.AbsoluteErrorFloor);
-  // Non-finite errors reach the inner selector as a large finite penalty
-  // so its own EMA/weights stay finite.
-  double Penalty =
-      2.0 * std::max(ScratchFinite.empty() ? 0.0 : ScratchFinite.back(),
-                     StrikeThreshold);
-
-  Vec &Sanitized = ScratchSanitized;
-  Sanitized = Errors;
-  for (size_t K = 0; K < NumExperts; ++K) {
-    ExpertState &S = States[K];
-    bool Diverged = !std::isfinite(Errors[K]) || Errors[K] > StrikeThreshold;
-    if (!std::isfinite(Errors[K]))
-      Sanitized[K] = Penalty;
-
-    double Observed = Sanitized[K];
-    S.ErrorEma = S.Seen ? S.ErrorEma + 0.3 * (Observed - S.ErrorEma)
-                        : Observed;
-    S.Seen = true;
-
-    if (S.QuarantineRemaining > 0) {
-      // Serving a sentence: count down toward timed re-admission.
-      if (--S.QuarantineRemaining == 0) {
-        S.ConsecutiveStrikes = 0;
-        if (Stats)
-          ++Stats->Readmissions;
-      }
-      continue;
-    }
-
-    if (!Diverged) {
-      S.ConsecutiveStrikes = 0;
-      continue;
-    }
-    if (++S.ConsecutiveStrikes < Options.Strikes)
-      continue;
-
-    // Three strikes (by default): quarantine with exponential backoff.
-    if (S.NextBackoff == 0)
-      S.NextBackoff = Options.BackoffUpdates;
-    S.QuarantineRemaining = S.NextBackoff;
-    S.NextBackoff = std::min(2 * S.NextBackoff, Options.MaxBackoffUpdates);
-    S.ConsecutiveStrikes = 0;
-    if (Stats)
-      ++Stats->Quarantines;
-  }
-
-  Inner->update(Features, Sanitized);
-}
-
-bool QuarantineSelector::blendWeights(const Vec &Features, Vec &Weights) {
-  if (!Inner->blendWeights(Features, Weights))
-    return false;
-  // Mask out quarantined experts and renormalise what remains.
-  double Sum = 0.0;
-  for (size_t K = 0; K < NumExperts; ++K) {
-    if (isQuarantined(K))
-      Weights[K] = 0.0;
-    Sum += Weights[K];
-  }
-  if (Sum <= 0.0)
-    return false; // Everything quarantined: no usable blend.
-  for (double &W : Weights)
-    W /= Sum;
-  return true;
-}
-
-void QuarantineSelector::reset() {
-  Inner->reset();
-  States.assign(NumExperts, ExpertState());
-}
-
-std::unique_ptr<ExpertSelector> QuarantineSelector::clone() const {
-  // Clones are per-run copies handed out by factories; they do not share
-  // the (non-thread-safe) stats sink.
-  return std::make_unique<QuarantineSelector>(Inner->clone(), Options,
-                                              nullptr);
-}
-
-const std::string &QuarantineSelector::name() const { return Name; }
 
 //===----------------------------------------------------------------------===//
 // FixedSelector

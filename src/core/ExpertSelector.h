@@ -27,7 +27,6 @@
 #define MEDLEY_CORE_EXPERTSELECTOR_H
 
 #include "ml/FeatureScaler.h"
-#include "support/FaultStats.h"
 #include "support/Random.h"
 
 #include <algorithm>
@@ -41,9 +40,8 @@ namespace medley::core {
 
 /// What one gate() call decided.
 enum class GateResult {
-  Blend,         ///< The weights hold a distribution over the experts.
-  Single,        ///< One expert is chosen.
-  AllQuarantined ///< Every expert is quarantined; none can be trusted.
+  Blend, ///< The weights hold a distribution over the experts.
+  Single ///< One expert is chosen.
 };
 
 /// Online gating model: maps a feature vector to an expert index and
@@ -63,10 +61,10 @@ public:
   /// One mixture decision's whole gate. First folds the previous
   /// decision's numExperts() errors \p Errors, judged at
   /// \p PendingFeatures, exactly as update() does (\p Errors is null when
-  /// no decision is pending). Then reports AllQuarantined, or fills the
-  /// numExperts() \p Weights as blendWeights() does (only when \p Soft),
-  /// or sets \p Chosen as select() does. The default runs those stages in
-  /// that order; a selector may fuse them as long as every bit agrees.
+  /// no decision is pending). Then fills the numExperts() \p Weights as
+  /// blendWeights() does (only when \p Soft), or sets \p Chosen as
+  /// select() does. The default runs those stages in that order; a
+  /// selector may fuse them as long as every bit agrees.
   virtual GateResult gate(const Vec &PendingFeatures, const double *Errors,
                           const Vec &Features, bool Soft, double *Weights,
                           size_t &Chosen);
@@ -133,11 +131,6 @@ public:
   virtual std::unique_ptr<ExpertSelector> clone() const = 0;
 
   virtual const std::string &name() const = 0;
-
-  /// Quarantine queries (the degradation ladder's second rung). The base
-  /// selectors never quarantine; QuarantineSelector overrides these.
-  virtual bool isQuarantined(size_t Expert) const;
-  virtual bool allQuarantined() const;
 
   size_t numExperts() const { return NumExperts; }
 
@@ -367,75 +360,6 @@ public:
 private:
   uint64_t Seed;
   Rng Generator;
-};
-
-/// Tuning of the quarantine ladder rung.
-struct QuarantineOptions {
-  /// An update counts as a strike against expert k when its environment
-  /// error exceeds DivergenceFactor x the median error of that update
-  /// (and the absolute floor); non-finite errors always strike.
-  double DivergenceFactor = 6.0;
-  double AbsoluteErrorFloor = 0.5;
-
-  /// Consecutive strikes before the expert is quarantined.
-  unsigned Strikes = 3;
-
-  /// Updates an expert sits out after its first quarantine; doubles on
-  /// every re-quarantine (timed re-admission with exponential backoff).
-  unsigned BackoffUpdates = 16;
-  unsigned MaxBackoffUpdates = 512;
-};
-
-/// Decorator that quarantines experts whose environment-predictor error
-/// diverges from the pack. Healthy experts are selected by the wrapped
-/// (inner) selector; a quarantined choice is redirected to the healthy
-/// expert with the best recent error. Quarantined experts are re-admitted
-/// after a timed backoff that doubles on every relapse. When every expert
-/// is quarantined the mixture falls back to DefaultPolicy behaviour
-/// (MixtureOfExperts checks allQuarantined()).
-class QuarantineSelector : public ExpertSelector {
-public:
-  /// \p Stats (optional, non-owning) receives quarantine counters; it must
-  /// outlive the selector. Clones do not inherit the stats sink.
-  QuarantineSelector(std::unique_ptr<ExpertSelector> Inner,
-                     QuarantineOptions Options = {},
-                     support::FaultStats *Stats = nullptr);
-
-  size_t select(const Vec &Features) override;
-  void update(const Vec &Features, const Vec &Errors) override;
-  bool blendWeights(const Vec &Features, Vec &Weights) override;
-  void reset() override;
-  std::unique_ptr<ExpertSelector> clone() const override;
-  const std::string &name() const override;
-
-  bool isQuarantined(size_t Expert) const override;
-  bool allQuarantined() const override;
-
-  /// Number of experts currently selectable.
-  size_t healthyCount() const;
-
-  const ExpertSelector &inner() const { return *Inner; }
-
-private:
-  /// Healthy expert with the lowest recent error (SIZE_MAX when none).
-  size_t bestHealthy() const;
-
-  std::unique_ptr<ExpertSelector> Inner;
-  QuarantineOptions Options;
-  support::FaultStats *Stats;
-  std::string Name;
-
-  /// Per-expert ladder state.
-  struct ExpertState {
-    unsigned ConsecutiveStrikes = 0;
-    unsigned QuarantineRemaining = 0; ///< Updates left; 0 = healthy.
-    unsigned NextBackoff = 0;         ///< Doubles on every relapse.
-    double ErrorEma = 0.0;
-    bool Seen = false;
-  };
-  std::vector<ExpertState> States;
-  Vec ScratchFinite;    ///< Reused finite-error buffer (update()).
-  Vec ScratchSanitized; ///< Reused sanitised-error buffer (update()).
 };
 
 /// Always selects a fixed expert (used to evaluate single experts E^k).

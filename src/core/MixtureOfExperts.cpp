@@ -13,6 +13,15 @@
 using namespace medley;
 using namespace medley::core;
 
+namespace {
+
+/// Relative tolerance for counting an environment prediction "accurate"
+/// in the Fig-15a bookkeeping (selection always uses the closest
+/// prediction, whatever its error).
+constexpr double EnvAccuracyTolerance = 0.2;
+
+} // namespace
+
 MixtureOfExperts::MixtureOfExperts(
     std::shared_ptr<const std::vector<Expert>> Experts,
     std::unique_ptr<ExpertSelector> Selector, std::shared_ptr<MoeStats> Stats,
@@ -98,8 +107,7 @@ bool MixtureOfExperts::judgePreviousDecision(
       E.observeEnvironment(PendingFeatures, Observed);
 
   if (Stats) {
-    double Tolerance =
-        Options.EnvAccuracyTolerance * std::max(Observed, 1e-6);
+    double Tolerance = EnvAccuracyTolerance * std::max(Observed, 1e-6);
     for (size_t K = 0; K < PendingEnvPredictions.size(); ++K) {
       ++Stats->EnvTotal[K];
       if (Errors[K] <= Tolerance)
@@ -123,9 +131,6 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   double *Weights = Errors + K;
   const bool Judged = judgePreviousDecision(Features, Errors);
 
-  if (Options.Faults && Features.SanitizedCount > 0)
-    Options.Faults->SanitizedValues += Features.SanitizedCount;
-
   // Linear experts: one bank pass scores every thread and environment
   // model (the judge above has already read the previous predictions).
   // The per-expert path below computes its environment predictions after
@@ -140,9 +145,9 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
       PendingEnvPredictions[E] = std::max(0.0, PendingEnvPredictions[E]);
   }
 
-  // The one selector call: it folds the judged errors, then blends,
-  // chooses or reports the ladder's floor. The regime gate is called
-  // directly, so its fused pass inlines here.
+  // The one selector call: it folds the judged errors, then blends or
+  // chooses. The regime gate is called directly, so its fused pass inlines
+  // here.
   const double *Folded = Judged ? Errors : nullptr;
   size_t Chosen = 0;
   const GateResult Gate =
@@ -150,20 +155,6 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
                             Options.SoftBlend, Weights, Chosen)
              : Selector->gate(PendingFeatures, Folded, Features.Values,
                               Options.SoftBlend, Weights, Chosen);
-
-  if (Gate == GateResult::AllQuarantined) {
-    // The ladder's floor: every expert's environment predictor has
-    // diverged, so no expert can be trusted. Degrade to exactly the
-    // OpenMP-default behaviour (n = available processors) while the
-    // quarantine backoffs run down; judging continues, so experts are
-    // re-admitted and the mixture resumes automatically.
-    if (Options.Faults)
-      ++Options.Faults->DefaultFallbacks;
-    unsigned Threads =
-        policy::roundThreads(Features.Values[4], Features.MaxThreads);
-    stashPending(Features, LastExpert);
-    return Threads;
-  }
 
   unsigned Threads;
   if (Gate == GateResult::Blend) {

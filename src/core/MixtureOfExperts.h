@@ -34,21 +34,11 @@ namespace medley::core {
 
 /// Options for the mixture policy.
 struct MixtureOptions {
-  /// Relative tolerance for counting an environment prediction "accurate"
-  /// in the Fig-15a bookkeeping (does not affect selection, which always
-  /// uses the closest prediction).
-  double EnvAccuracyTolerance = 0.2;
-
   /// Soft gating (Jacobs et al.'s original mixture formulation): when the
   /// selector can provide a weight distribution, blend the experts' thread
   /// predictions instead of committing to one expert. Statistics still
   /// attribute each decision to the highest-weight expert.
   bool SoftBlend = true;
-
-  /// Optional (non-owning) sink for degradation counters: default-policy
-  /// fallbacks under full quarantine and sanitized feature values. Must
-  /// outlive the policy instance.
-  support::FaultStats *Faults = nullptr;
 };
 
 /// Mixture-of-experts thread-selection policy.

@@ -114,22 +114,6 @@ PolicySet::mixtureFactory(unsigned NumExperts, const std::string &SelectorKind,
   };
 }
 
-policy::PolicyFactory PolicySet::hardenedMixtureFactory(
-    unsigned NumExperts, const std::string &SelectorKind,
-    core::QuarantineOptions Quarantine, support::FaultStats *Faults,
-    std::shared_ptr<core::MoeStats> Stats) {
-  auto Experts = experts(NumExperts);
-  auto Prototype = selectorPrototype(NumExperts, SelectorKind);
-  return [Experts, Prototype, Quarantine, Faults, Stats]() {
-    auto Guarded = std::make_unique<core::QuarantineSelector>(
-        Prototype->clone(), Quarantine, Faults);
-    core::MixtureOptions Options;
-    Options.Faults = Faults;
-    return std::make_unique<core::MixtureOfExperts>(
-        Experts, std::move(Guarded), Stats, Options);
-  };
-}
-
 policy::PolicyFactory PolicySet::singleExpertFactory(unsigned NumExperts,
                                                      size_t Index) {
   auto Experts = experts(NumExperts);
@@ -163,14 +147,12 @@ policy::PolicyFactory PolicySet::factory(const std::string &Name) {
   }
   if (Name == "mixture")
     return mixtureFactory(4, "regime");
-  if (Name == "mixture-hardened")
-    return hardenedMixtureFactory(4, "regime");
   reportFatalError("unknown policy '" + Name + "'");
 }
 
 const std::vector<std::string> &PolicySet::policyNames() {
   static const std::vector<std::string> Names = {
-      "default", "online", "offline", "analytic", "mixture", "mixture-hardened"};
+      "default", "online", "offline", "analytic", "mixture"};
   return Names;
 }
 

@@ -41,8 +41,7 @@ public:
 
   /// Factory for a policy named in policyNames(): one of the paper's
   /// "default", "online", "offline", "analytic" or "mixture" (4 experts,
-  /// regime selector), or "mixture-hardened" (the same mixture behind the
-  /// degradation ladder). Any other name is a fatal error.
+  /// regime selector). Any other name is a fatal error.
   policy::PolicyFactory factory(const std::string &Name);
 
   /// Every name factory() accepts.
@@ -54,18 +53,6 @@ public:
   policy::PolicyFactory
   mixtureFactory(unsigned NumExperts, const std::string &SelectorKind,
                  std::shared_ptr<core::MoeStats> Stats = nullptr);
-
-  /// Mixture factory wrapped in the degradation ladder: the selector is
-  /// decorated with a QuarantineSelector, and the policy degrades to
-  /// DefaultPolicy behaviour whenever every expert is quarantined.
-  /// \p Faults (optional, non-owning, NOT thread-safe) receives the
-  /// degradation counters of every instance the factory creates — pass
-  /// nullptr when instances run on multiple driver threads.
-  policy::PolicyFactory
-  hardenedMixtureFactory(unsigned NumExperts, const std::string &SelectorKind,
-                         core::QuarantineOptions Quarantine = {},
-                         support::FaultStats *Faults = nullptr,
-                         std::shared_ptr<core::MoeStats> Stats = nullptr);
 
   /// Factory pinning the mixture to single expert \p Index of a
   /// \p NumExperts set (the Fig-15c single-expert bars).

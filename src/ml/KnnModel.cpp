@@ -35,12 +35,15 @@ std::optional<KnnModel> medley::trainKnnModel(const Dataset &Data,
 
 double KnnModel::predict(const Vec &X) const {
   assert(!Points.empty() && "querying an untrained k-NN model");
-  Scaler.transformInto(X, ScratchQuery);
-  const Vec &Q = ScratchQuery;
+  // Per-thread scratch (standardised query, distance/target pairs): the
+  // model is shared by every mixture instance, and exp::Driver runs those
+  // on a thread pool. Capacity sticks after a thread's first query, so
+  // its steady-state queries perform zero heap allocations.
+  thread_local Vec Q;
+  thread_local std::vector<std::pair<double, double>> DistTarget;
+  Scaler.transformInto(X, Q);
 
-  // Collect squared distances, then pick the k smallest. The scratch
-  // capacity sticks at Points.size() after the first query.
-  std::vector<std::pair<double, double>> &DistTarget = ScratchDist;
+  // Collect squared distances, then pick the k smallest.
   DistTarget.clear();
   DistTarget.reserve(Points.size());
   for (size_t I = 0; I < Points.size(); ++I) {

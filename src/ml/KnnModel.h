@@ -32,7 +32,9 @@ struct KnnOptions {
 };
 
 /// Instance-based regressor: keeps (standardised) training points and
-/// predicts by inverse-distance-weighted k-NN averaging.
+/// predicts by inverse-distance-weighted k-NN averaging. A trained model
+/// is immutable: every mixture instance shares one, and predict() may run
+/// on several threads at once.
 class KnnModel {
 public:
   KnnModel() = default;
@@ -54,12 +56,6 @@ private:
   Vec Targets;
   KnnOptions Options;
   std::string Name;
-
-  /// Per-query scratch (standardised query, distance/target pairs).
-  /// Capacity sticks after the first predict, so steady-state queries
-  /// on the decision path perform zero heap allocations.
-  mutable Vec ScratchQuery;
-  mutable std::vector<std::pair<double, double>> ScratchDist;
 };
 
 /// Builds a KnnModel over \p Data (std::nullopt when empty).

@@ -50,7 +50,7 @@ void medley::policy::buildFeatures(const workload::RegionContext &Context,
   // poison the norm, and the norm must be computed from the same values
   // the policies see.
   sim::EnvSample Env = Context.Env;
-  unsigned Repaired = Env.sanitize();
+  Env.sanitize();
 
   Out.Values.resize(NumFeatures);
   Out.Values[0] = Code.LoadStoreRatio;
@@ -65,15 +65,12 @@ void medley::policy::buildFeatures(const workload::RegionContext &Context,
   Out.Values[9] = Env.PageFreeRate;
   // Code features come from the workload description, but guard them too:
   // a corrupt catalog entry must not leak NaN into the models.
-  Repaired += sanitizeValues(Out.Values);
+  sanitizeValues(Out.Values);
   Out.EnvNorm = Env.scaledNorm(static_cast<double>(TotalCores));
-  if (!std::isfinite(Out.EnvNorm)) {
+  if (!std::isfinite(Out.EnvNorm))
     Out.EnvNorm = 0.0;
-    ++Repaired;
-  }
   Out.Now = Context.Now;
   Out.MaxThreads = Context.MaxThreads;
-  Out.SanitizedCount = Repaired;
 }
 
 Vec medley::policy::environmentPart(const FeatureVector &Features) {

@@ -56,10 +56,6 @@ struct FeatureVector {
 
   /// Clamp for thread predictions (machine core count).
   unsigned MaxThreads = 1;
-
-  /// Number of input values the sanitizer had to repair (0 on a clean
-  /// sample); feeds support::FaultStats::SanitizedValues.
-  unsigned SanitizedCount = 0;
 };
 
 /// Table-1 feature names, index-aligned with FeatureVector::Values.

@@ -71,9 +71,9 @@ struct FaultPlan {
   /// True when no window of any class is scheduled.
   bool empty() const;
 
-  /// The canonical full-ladder schedule used by the chaos suite: repeating
-  /// dropout, corruption, storm and stale windows staggered across
-  /// [0, Horizon) so every fault class strikes several times.
+  /// The canonical schedule of the chaos suite: repeating dropout,
+  /// corruption, storm and stale windows staggered across [0, Horizon) so
+  /// every fault class strikes several times.
   static FaultPlan chaosSchedule(double Horizon);
 };
 

@@ -5,19 +5,18 @@
 //===----------------------------------------------------------------------===//
 //
 // The chaos suite (DESIGN.md §9): experiment grids executed under the
-// full fault schedule must complete deterministically, the degradation
-// ladder must engage rung by rung (sanitize -> quarantine -> default-
-// policy fallback -> binding clamp -> cell retry), and corrupted expert
-// files must be rejected at load time. Runs under the `chaos` ctest
-// label (`make chaos`).
+// full fault schedule must complete deterministically with every fault
+// class firing, every decision must respect the binding clamp, a failing
+// run must be retried or recorded as a cell failure without poisoning
+// its plan, and corrupted expert files and traces must be rejected at
+// load time. Input sanitizing has its own tests in PolicyTest and
+// SimTest. Runs under the `chaos` ctest label (`make chaos`).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/ExpertIo.h"
-#include "core/MixtureOfExperts.h"
 #include "exp/Driver.h"
 #include "exp/PolicySet.h"
-#include "policy/DefaultPolicy.h"
 #include "sim/FaultInjector.h"
 #include "support/FaultStats.h"
 #include "support/Fnv.h"
@@ -26,197 +25,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 using namespace medley;
 using namespace medley::exp;
-
-namespace {
-
-/// Builds a feature vector directly (bypassing a simulation).
-policy::FeatureVector makeFeatures(double Processors, unsigned MaxThreads = 32) {
-  policy::FeatureVector F;
-  F.Values = {0.3, 0.4, 0.1, 4.0, Processors, 6.0, 6.0, 6.0, 0.9, 0.01};
-  F.EnvNorm = 1.0;
-  F.MaxThreads = MaxThreads;
-  return F;
-}
-
-core::QuarantineOptions fastQuarantine() {
-  core::QuarantineOptions Q;
-  Q.DivergenceFactor = 2.0;
-  Q.AbsoluteErrorFloor = 0.1;
-  Q.Strikes = 2;
-  Q.BackoffUpdates = 3;
-  Q.MaxBackoffUpdates = 12;
-  return Q;
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// QuarantineSelector (degradation-ladder rung 2)
-//===----------------------------------------------------------------------===//
-
-TEST(QuarantineTest, DivergingExpertIsQuarantinedAndRedirected) {
-  support::FaultStats Stats;
-  core::QuarantineSelector Selector(
-      std::make_unique<core::FixedSelector>(3, 0), fastQuarantine(), &Stats);
-
-  Vec F = makeFeatures(16).Values;
-  // Expert 0 diverges wildly; 1 and 2 track the environment.
-  Selector.update(F, {10.0, 0.05, 0.08});
-  EXPECT_FALSE(Selector.isQuarantined(0));
-  Selector.update(F, {10.0, 0.05, 0.08});
-  EXPECT_TRUE(Selector.isQuarantined(0));
-  EXPECT_EQ(Stats.Quarantines, 1u);
-  EXPECT_EQ(Selector.healthyCount(), 2u);
-
-  // The inner FixedSelector keeps asking for 0; the decorator must
-  // redirect to a healthy expert.
-  size_t Chosen = Selector.select(F);
-  EXPECT_NE(Chosen, 0u);
-  EXPECT_LT(Chosen, 3u);
-}
-
-TEST(QuarantineTest, TimedReadmissionWithExponentialBackoff) {
-  support::FaultStats Stats;
-  core::QuarantineSelector Selector(
-      std::make_unique<core::FixedSelector>(3, 0), fastQuarantine(), &Stats);
-
-  Vec F = makeFeatures(16).Values;
-  Selector.update(F, {10.0, 0.05, 0.08});
-  Selector.update(F, {10.0, 0.05, 0.08});
-  ASSERT_TRUE(Selector.isQuarantined(0));
-
-  // BackoffUpdates = 3: after three clean updates the expert returns.
-  for (int I = 0; I < 3; ++I)
-    Selector.update(F, {0.05, 0.05, 0.08});
-  EXPECT_FALSE(Selector.isQuarantined(0));
-  EXPECT_EQ(Stats.Readmissions, 1u);
-
-  // Relapse: the sentence doubles, so three clean updates are no longer
-  // enough.
-  Selector.update(F, {10.0, 0.05, 0.08});
-  Selector.update(F, {10.0, 0.05, 0.08});
-  ASSERT_TRUE(Selector.isQuarantined(0));
-  for (int I = 0; I < 3; ++I)
-    Selector.update(F, {0.05, 0.05, 0.08});
-  EXPECT_TRUE(Selector.isQuarantined(0));
-  for (int I = 0; I < 3; ++I)
-    Selector.update(F, {0.05, 0.05, 0.08});
-  EXPECT_FALSE(Selector.isQuarantined(0));
-}
-
-TEST(QuarantineTest, WhollyNonFiniteUpdateQuarantinesEveryone) {
-  core::QuarantineOptions Q = fastQuarantine();
-  Q.Strikes = 1;
-  core::QuarantineSelector Selector(
-      std::make_unique<core::FixedSelector>(3, 0), Q);
-
-  Vec F = makeFeatures(16).Values;
-  double NaN = std::nan("");
-  Selector.update(F, {NaN, NaN, NaN});
-  EXPECT_TRUE(Selector.allQuarantined());
-  EXPECT_EQ(Selector.healthyCount(), 0u);
-  // With nobody healthy the selector still answers in range.
-  EXPECT_LT(Selector.select(F), 3u);
-}
-
-TEST(QuarantineTest, HealthySelectorsPassThrough) {
-  core::QuarantineSelector Selector(
-      std::make_unique<core::FixedSelector>(3, 1), fastQuarantine());
-  Vec F = makeFeatures(16).Values;
-  EXPECT_EQ(Selector.select(F), 1u);
-  EXPECT_FALSE(Selector.allQuarantined());
-  EXPECT_EQ(Selector.healthyCount(), 3u);
-  EXPECT_EQ(Selector.name(), "quarantine:fixed");
-}
-
-TEST(QuarantineTest, CloneAndResetStartFresh) {
-  core::QuarantineSelector Selector(
-      std::make_unique<core::FixedSelector>(3, 0), fastQuarantine());
-  Vec F = makeFeatures(16).Values;
-  Selector.update(F, {10.0, 0.05, 0.08});
-  Selector.update(F, {10.0, 0.05, 0.08});
-  ASSERT_TRUE(Selector.isQuarantined(0));
-
-  std::unique_ptr<core::ExpertSelector> Clone = Selector.clone();
-  EXPECT_FALSE(Clone->isQuarantined(0));
-
-  Selector.reset();
-  EXPECT_FALSE(Selector.isQuarantined(0));
-  EXPECT_EQ(Selector.healthyCount(), 3u);
-}
-
-//===----------------------------------------------------------------------===//
-// MixtureOfExperts default-policy fallback (rung 3)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Selector stub reporting every expert as quarantined.
-class AllQuarantinedSelector : public core::ExpertSelector {
-public:
-  explicit AllQuarantinedSelector(size_t NumExperts)
-      : core::ExpertSelector(NumExperts) {}
-  size_t select(const Vec &) override { return 0; }
-  void update(const Vec &, const Vec &) override { ++Updates; }
-  void reset() override {}
-  std::unique_ptr<core::ExpertSelector> clone() const override {
-    return std::make_unique<AllQuarantinedSelector>(NumExperts);
-  }
-  const std::string &name() const override {
-    static const std::string N = "all-quarantined";
-    return N;
-  }
-  bool isQuarantined(size_t) const override { return true; }
-  bool allQuarantined() const override { return true; }
-
-  size_t Updates = 0;
-};
-
-} // namespace
-
-TEST(MixtureFallbackTest, AllQuarantinedMatchesDefaultPolicy) {
-  PolicySet &Policies = PolicySet::instance();
-  auto Experts = Policies.experts(2);
-
-  support::FaultStats Stats;
-  core::MixtureOptions Options;
-  Options.Faults = &Stats;
-  core::MixtureOfExperts Mixture(
-      Experts, std::make_unique<AllQuarantinedSelector>(Experts->size()),
-      nullptr, Options);
-  policy::DefaultPolicy Default;
-
-  for (double Processors : {1.0, 5.0, 17.0, 32.0}) {
-    policy::FeatureVector F = makeFeatures(Processors);
-    EXPECT_EQ(Mixture.select(F), Default.select(F))
-        << "processors = " << Processors;
-  }
-  EXPECT_EQ(Stats.DefaultFallbacks, 4u);
-}
-
-TEST(MixtureFallbackTest, JudgingContinuesUnderFallback) {
-  // Pending environment predictions must still be stashed during the
-  // fallback, so selector updates keep flowing and quarantined experts
-  // can earn re-admission.
-  PolicySet &Policies = PolicySet::instance();
-  auto Experts = Policies.experts(2);
-  auto Selector = std::make_unique<AllQuarantinedSelector>(Experts->size());
-  AllQuarantinedSelector *Raw = Selector.get();
-  core::MixtureOfExperts Mixture(Experts, std::move(Selector));
-
-  policy::FeatureVector F = makeFeatures(16.0);
-  Mixture.select(F);
-  EXPECT_EQ(Raw->Updates, 0u); // Nothing pending on the first decision.
-  Mixture.select(F);
-  EXPECT_EQ(Raw->Updates, 1u); // The fallback decision was judged.
-}
 
 //===----------------------------------------------------------------------===//
 // Expert-file corruption (fault class 5)
@@ -322,7 +136,7 @@ TEST(ExpertFileChaosTest, CorruptFileHelperForcesRejection) {
 }
 
 //===----------------------------------------------------------------------===//
-// Driver cell isolation (rung 5)
+// Driver cell isolation (rung 3)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -441,9 +255,9 @@ Measurement runChaosCell(unsigned Jobs, uint64_t Seed) {
   D.clearCache();
   Scenario S = Scenario::smallLow();
   const workload::WorkloadSet &Set = S.workloadSets()[0];
-  policy::PolicyFactory Hardened =
-      PolicySet::instance().hardenedMixtureFactory(4, "regime");
-  return D.measure("cg", Hardened, S, &Set);
+  policy::PolicyFactory Mixture =
+      PolicySet::instance().mixtureFactory(4, "regime");
+  return D.measure("cg", Mixture, S, &Set);
 }
 
 } // namespace
@@ -494,10 +308,9 @@ TEST(ChaosGridTest, ChaosRunsAreBitIdenticalAcrossJobs) {
 TEST(ChaosGridTest, ChaosOutputsArePinned) {
   // One chaos cell digested bit for bit: every run's target time,
   // throughput and region count, every decision's time, thread count,
-  // available processors and clamp flag, and the fault counters. The
-  // constant was computed before the expert lifecycle's fault classes left
-  // FaultPlan; any change to chaosSchedule, the injector's streams, the
-  // quarantine ladder or the mixture moves it.
+  // available processors and clamp flag, and the fault counters. Any
+  // change to chaosSchedule, the injector's streams, the sanitizers, the
+  // binding clamp or the mixture moves it.
   Measurement M = runChaosCell(1, 0xC4A4);
   uint64_t Hash = support::fnv1aInit();
   auto FoldDouble = [&Hash](double V) {
@@ -516,27 +329,23 @@ TEST(ChaosGridTest, ChaosOutputsArePinned) {
   }
   const support::FaultStats &F = M.Faults;
   for (uint64_t N : {F.SensorDropouts, F.SensorCorruptions, F.UnplugOverrides,
-                     F.StaleTicks, F.SanitizedValues, F.Quarantines,
-                     F.Readmissions, F.DefaultFallbacks, F.ClampedPredictions,
-                     F.CellRetries, F.CellFailures})
+                     F.StaleTicks, F.CellRetries, F.CellFailures})
     Hash = support::fnv1aWord(Hash, N);
-  EXPECT_EQ(Hash, 0x3c6aa712444a0d30ULL);
+  EXPECT_EQ(Hash, 0x9f6617dc4f79af30ULL);
 }
 
-TEST(ChaosGridTest, FaultFreeHardenedMixtureMatchesPlainCosts) {
-  // Without faults the hardened mixture may quarantine rarely, but the
-  // measurement must stay sane and comparable to the plain mixture's.
+TEST(ChaosGridTest, FaultFreeMixtureCellIsClean) {
+  // Without a fault plan the mixture's cell must stay sane: no fault
+  // counter ticks and no run fails.
   DriverOptions Options = chaosDriverOptions(2, 0xC4A3);
   Driver D(Options);
   Scenario S = Scenario::isolatedStatic();
-  policy::PolicyFactory Hardened =
-      PolicySet::instance().hardenedMixtureFactory(4, "regime");
-  Measurement M = D.measure("cg", Hardened, S, nullptr);
+  policy::PolicyFactory Mixture =
+      PolicySet::instance().mixtureFactory(4, "regime");
+  Measurement M = D.measure("cg", Mixture, S, nullptr);
   EXPECT_TRUE(M.Failures.empty());
   EXPECT_GT(M.MeanTargetTime, 0.0);
   EXPECT_LT(M.MeanTargetTime, Options.MaxTime);
-  // No injector configured: the only counters that may tick are the
-  // degradation rungs, never the injection ones.
   EXPECT_EQ(M.Faults.SensorDropouts, 0u);
   EXPECT_EQ(M.Faults.SensorCorruptions, 0u);
   EXPECT_EQ(M.Faults.UnplugOverrides, 0u);

@@ -649,11 +649,10 @@ externalTwins(std::shared_ptr<const std::vector<Expert>> Linear) {
   return Twins;
 }
 
-/// Every selector kind the mixture can be built with; "quarantine" wraps
-/// the regime gate, as the hardened mixture does.
-const char *const AllSelectorKinds[] = {
-    "regime", "accuracy",   "quarantine", "hyperplane",
-    "binned", "perceptron", "random",     "fixed"};
+/// Every selector kind the mixture can be built with.
+const char *const AllSelectorKinds[] = {"regime", "accuracy",   "hyperplane",
+                                        "binned", "perceptron", "random",
+                                        "fixed"};
 
 /// A scaler fitted to randomFeatures, for the contextual selectors.
 FeatureScaler differentialScaler() {
@@ -671,9 +670,6 @@ std::unique_ptr<ExpertSelector> differentialSelector(const std::string &Kind,
     Tags.push_back(K == 1 ? -1 : E < K / 2 ? 0 : 1);
   if (Kind == "accuracy")
     return std::make_unique<AccuracySelector>(K);
-  if (Kind == "quarantine")
-    return std::make_unique<QuarantineSelector>(
-        std::make_unique<RegimeSelector>(Tags));
   if (Kind == "hyperplane")
     return std::make_unique<HyperplaneSelector>(K, differentialScaler());
   if (Kind == "binned")
@@ -688,8 +684,8 @@ std::unique_ptr<ExpertSelector> differentialSelector(const std::string &Kind,
 }
 
 /// Features in both regimes, under two machine sizes, with runs of
-/// bit-identical vectors and a burst of non-finite observations that
-/// quarantines every expert (the fallback path).
+/// bit-identical vectors and a burst of infinite observed environment
+/// norms, so every selector folds infinite errors.
 std::vector<policy::FeatureVector> differentialStream() {
   Rng Gen(0xD1FF);
   std::vector<policy::FeatureVector> Stream;
@@ -713,7 +709,6 @@ struct DifferentialRun {
   std::vector<size_t> SelectionCounts, EnvAccurate, EnvTotal;
   std::vector<size_t> MixtureThreads;
   size_t MixtureEnvAccurate = 0, MixtureEnvTotal = 0;
-  uint64_t Fallbacks = 0;
   bool Banked = false;
 };
 
@@ -722,10 +717,8 @@ runDifferential(std::shared_ptr<const std::vector<Expert>> Experts,
                 const std::string &Kind, bool SoftBlend) {
   const size_t K = Experts->size();
   auto Stats = std::make_shared<MoeStats>(K);
-  support::FaultStats Faults;
   MixtureOptions Options;
   Options.SoftBlend = SoftBlend;
-  Options.Faults = &Faults;
   MixtureOfExperts Mixture(Experts, differentialSelector(Kind, K), Stats,
                            Options);
   DifferentialRun Run;
@@ -742,7 +735,6 @@ runDifferential(std::shared_ptr<const std::vector<Expert>> Experts,
   Run.MixtureThreads = Stats->MixtureThreads.bucketize(1, 64);
   Run.MixtureEnvAccurate = Stats->MixtureEnvAccurate;
   Run.MixtureEnvTotal = Stats->MixtureEnvTotal;
-  Run.Fallbacks = Faults.DefaultFallbacks;
   return Run;
 }
 
@@ -764,8 +756,7 @@ uint64_t hashRun(uint64_t Hash, const DifferentialRun &Run) {
   Hash = hashWords(Hash, Run.EnvTotal);
   Hash = hashWords(Hash, Run.MixtureThreads);
   Hash = support::fnv1aWord(Hash, Run.MixtureEnvAccurate);
-  Hash = support::fnv1aWord(Hash, Run.MixtureEnvTotal);
-  return support::fnv1aWord(Hash, Run.Fallbacks);
+  return support::fnv1aWord(Hash, Run.MixtureEnvTotal);
 }
 
 } // namespace
@@ -780,7 +771,7 @@ TEST(MixtureTest, BankMatchesPerExpertPathBitwise) {
     for (bool SharedThreadScaler : {true, false}) {
       auto Linear = builderShapedExperts(K, SharedThreadScaler);
       auto External = externalTwins(Linear);
-      for (const std::string Kind : {"regime", "accuracy", "quarantine"})
+      for (const std::string Kind : {"regime", "accuracy"})
         for (bool SoftBlend : {true, false}) {
           SCOPED_TRACE("K=" + std::to_string(K) + " " + Kind +
                        (SharedThreadScaler ? " shared" : " own") +
@@ -795,10 +786,6 @@ TEST(MixtureTest, BankMatchesPerExpertPathBitwise) {
           EXPECT_EQ(Banked.ExpertThreads, Reference.ExpertThreads);
           EXPECT_EQ(Banked.SelectionCounts, Reference.SelectionCounts);
           EXPECT_EQ(Banked.EnvAccurate, Reference.EnvAccurate);
-          EXPECT_EQ(Banked.Fallbacks, Reference.Fallbacks);
-          if (Kind == "quarantine") {
-            EXPECT_GT(Banked.Fallbacks, 0u) << "fallback path not exercised";
-          }
           // The stream must exercise the rounding, not one clamped value.
           std::set<unsigned> Distinct(Banked.Threads.begin(),
                                       Banked.Threads.end());
@@ -810,14 +797,14 @@ TEST(MixtureTest, BankMatchesPerExpertPathBitwise) {
 
 TEST(SelectorTest, GateMatchesComposition) {
   // gate() is one call for the stages a decision used to run one by one:
-  // update, the quarantine check, then blendWeights or select. Two clones
-  // of every selector walk one stream, one through each form, and must
-  // agree on every result, chosen index and weight bit (a NaN weight
-  // only on being NaN; see valueBits). The stream opens with the
-  // untrained first decision (no errors to fold) and carries a burst of
-  // non-finite errors that quarantines every expert. Three and five
-  // experts give softmaxes over counts that are not powers of two, where
-  // dividing by the count and multiplying by its reciprocal differ.
+  // update, then blendWeights or select. Two clones of every selector walk
+  // one stream, one through each form, and must agree on every result,
+  // chosen index and weight bit (a NaN weight only on being NaN; see
+  // valueBits). The stream opens with the untrained first decision (no
+  // errors to fold) and carries a burst of infinite errors and one NaN.
+  // Three and five experts give softmaxes over counts that are not powers
+  // of two, where dividing by the count and multiplying by its reciprocal
+  // differ.
   const double Inf = std::numeric_limits<double>::infinity();
   const double NaN = std::numeric_limits<double>::quiet_NaN();
   uint64_t Hash = support::fnv1aInit();
@@ -853,9 +840,7 @@ TEST(SelectorTest, GateMatchesComposition) {
             Staged->update(Pending, Errors[I]);
           GateResult Want = GateResult::Single;
           size_t StagedChosen = K;
-          if (Staged->allQuarantined())
-            Want = GateResult::AllQuarantined;
-          else if (Soft && Staged->blendWeights(Features[I], StagedWeights))
+          if (Soft && Staged->blendWeights(Features[I], StagedWeights))
             Want = GateResult::Blend;
           else
             StagedChosen = Staged->select(Features[I]);
@@ -878,19 +863,15 @@ TEST(SelectorTest, GateMatchesComposition) {
         // The stream reaches every result the selector can give.
         EXPECT_TRUE(Seen.count(GateResult::Single));
         const std::string Name = Kind;
-        if (Soft && (Name == "regime" || Name == "accuracy" ||
-                     Name == "binned" || Name == "quarantine")) {
+        if (Soft &&
+            (Name == "regime" || Name == "accuracy" || Name == "binned")) {
           EXPECT_TRUE(Seen.count(GateResult::Blend));
-        }
-        if (Name == "quarantine") {
-          EXPECT_TRUE(Seen.count(GateResult::AllQuarantined));
         }
       }
   }
-  // The stages' own outputs, pinned at the value the code before gate()
-  // produced: the two forms share their arithmetic, so only this digest
-  // sees a change to it.
-  EXPECT_EQ(Hash, 0xbe420360365b71e7ULL);
+  // The stages' own outputs, pinned: the two forms share their
+  // arithmetic, so only this digest sees a change to it.
+  EXPECT_EQ(Hash, 0xc9117866887e79d9ULL);
 }
 
 TEST(MixtureTest, DecisionsArePinned) {
@@ -910,7 +891,7 @@ TEST(MixtureTest, DecisionsArePinned) {
         Hash = hashRun(Hash, runDifferential(External, Kind, SoftBlend));
       }
   }
-  EXPECT_EQ(Hash, 0xa22c01f293208ff9ULL);
+  EXPECT_EQ(Hash, 0x9ff9a6004471c2a1ULL);
 }
 
 TEST(MixtureTest, BankTakesEveryLinearSetOfAtMostEight) {

@@ -16,6 +16,7 @@
 #include "ml/LinearModel.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -660,6 +661,39 @@ TEST(KnnModelTest, RejectsEmptyAndZeroK) {
   KnnOptions Options;
   Options.K = 0;
   EXPECT_FALSE(trainKnnModel(One, "knn", Options).has_value());
+}
+
+TEST(KnnModelTest, ConcurrentPredictMatchesSequential) {
+  // Every mixture instance shares one trained model, and exp::Driver runs
+  // the instances on a thread pool: predictions made on four threads at
+  // once must equal, bit for bit, the same predictions made one at a time.
+  Rng R(43);
+  Dataset Data({"x", "y", "z"});
+  for (int I = 0; I < 2000; ++I) {
+    double X = R.uniform(-5, 5), Y = R.uniform(-5, 5), Z = R.uniform(-5, 5);
+    Data.add({X, Y, Z}, X * Y + std::sin(Z), "g");
+  }
+  auto Model = trainKnnModel(Data, "knn");
+  ASSERT_TRUE(Model.has_value());
+  std::vector<Vec> Queries;
+  for (int I = 0; I < 1600; ++I)
+    Queries.push_back({R.uniform(-5, 5), R.uniform(-5, 5), R.uniform(-5, 5)});
+
+  std::vector<double> Sequential;
+  for (const Vec &Q : Queries)
+    Sequential.push_back(Model->predict(Q));
+  std::vector<double> Concurrent(Queries.size());
+  support::ThreadPool Pool(4);
+  Pool.parallelFor(Queries.size(), [&](size_t I) {
+    Concurrent[I] = Model->predict(Queries[I]);
+  });
+
+  size_t Differ = 0;
+  for (size_t I = 0; I < Queries.size(); ++I)
+    if (std::bit_cast<uint64_t>(Concurrent[I]) !=
+        std::bit_cast<uint64_t>(Sequential[I]))
+      ++Differ;
+  EXPECT_EQ(Differ, 0u) << "of " << Queries.size() << " predictions";
 }
 
 //===----------------------------------------------------------------------===//

@@ -402,11 +402,15 @@ TEST(FeaturesTest, BuildFeaturesSanitizesCorruptSample) {
   for (double V : F.Values)
     EXPECT_TRUE(std::isfinite(V));
   EXPECT_TRUE(std::isfinite(F.EnvNorm));
-  EXPECT_GE(F.SanitizedCount, 2u);
+  // The repaired fields: non-finite ones read 0, a negative counter 0.
+  EXPECT_EQ(F.Values[3], 0.0);
+  EXPECT_EQ(F.Values[4], 0.0);
+  EXPECT_EQ(F.Values[5], 0.0);
+  EXPECT_EQ(F.Values[8], 0.5);
 }
 
 //===----------------------------------------------------------------------===//
-// Binding-site thread clamp (degradation-ladder rung 4)
+// Binding-site thread clamp (degradation-ladder rung 2)
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadClampTest, RoundThreadsMatchesClampedLround) {

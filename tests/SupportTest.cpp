@@ -623,30 +623,25 @@ TEST(ErrorTest, CodeNamesAreStable) {
 TEST(FaultStatsTest, FreshIsClean) {
   support::FaultStats S;
   EXPECT_TRUE(S.clean());
-  EXPECT_EQ(S.summary(), "");
 }
 
 TEST(FaultStatsTest, MergeAddsEveryCounter) {
   support::FaultStats A, B;
   A.SensorDropouts = 2;
-  A.Quarantines = 1;
+  A.UnplugOverrides = 1;
   B.SensorDropouts = 3;
+  B.SensorCorruptions = 5;
+  B.StaleTicks = 6;
+  B.CellRetries = 7;
   B.CellFailures = 4;
   A.merge(B);
   EXPECT_EQ(A.SensorDropouts, 5u);
-  EXPECT_EQ(A.Quarantines, 1u);
+  EXPECT_EQ(A.SensorCorruptions, 5u);
+  EXPECT_EQ(A.UnplugOverrides, 1u);
+  EXPECT_EQ(A.StaleTicks, 6u);
+  EXPECT_EQ(A.CellRetries, 7u);
   EXPECT_EQ(A.CellFailures, 4u);
   EXPECT_FALSE(A.clean());
-}
-
-TEST(FaultStatsTest, SummaryListsNonZeroCountersOnly) {
-  support::FaultStats S;
-  S.SensorCorruptions = 7;
-  S.DefaultFallbacks = 2;
-  std::string Text = S.summary();
-  EXPECT_NE(Text.find("corruptions=7"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("fallbacks=2"), std::string::npos) << Text;
-  EXPECT_EQ(Text.find("dropouts"), std::string::npos) << Text;
 }
 
 //===----------------------------------------------------------------------===//
