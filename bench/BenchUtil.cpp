@@ -9,9 +9,7 @@
 #include "support/StringUtils.h"
 #include "workload/Catalog.h"
 
-#include <cstdlib>
 #include <iostream>
-#include <optional>
 
 using namespace medley;
 using namespace medley::bench;
@@ -47,14 +45,4 @@ medley::bench::runSpeedupFigure(const std::string &FigureId,
               << "x";
   std::cout << "\n";
   return Matrix;
-}
-
-uint64_t medley::bench::flagValue(const char *Name, const std::string &Text,
-                                  uint64_t Min, uint64_t Max) {
-  std::optional<uint64_t> Value = parseUnsigned(Text, Min, Max);
-  if (!Value) {
-    std::cerr << "invalid value '" << Text << "' for --" << Name << '\n';
-    std::exit(1);
-  }
-  return *Value;
 }

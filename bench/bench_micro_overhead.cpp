@@ -9,13 +9,18 @@
 // benchmark. A parallel region in the evaluation runs for hundreds of
 // milliseconds; decisions in the nanosecond-to-microsecond range are
 // negligible, including the mixture's extra environment predictions and
-// selector update.
+// selector update. The per-selector cases time one judged decision of each
+// selector kind (select + update), the cost side of the selector ablation.
+// Every figure here is report-only: perfbench's paired runs judge speed
+// changes (DESIGN.md §8).
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/MixtureOfExperts.h"
 #include "core/Oracle.h"
 #include "exp/PolicySet.h"
 #include "policy/Features.h"
+#include "support/Random.h"
 #include "workload/Catalog.h"
 #include "sim/Simulation.h"
 #include "workload/ThreadPattern.h"
@@ -67,6 +72,40 @@ void BM_MixtureSelect8Experts(benchmark::State &State) {
   policy::FeatureVector F = sampleFeatures();
   for (auto _ : State)
     benchmark::DoNotOptimize(Policy->select(F));
+}
+
+constexpr unsigned NumExperts = 4;
+
+/// One judged decision of a selector: pick an expert for the features,
+/// then fold in the experts' environment errors. A fixed pseudo-random
+/// stream with the evaluation platform's feature ranges drives it.
+void selectorDecision(benchmark::State &State, const std::string &Kind) {
+  constexpr size_t StreamLen = 4096;
+  Rng Gen(0xDECADE);
+  std::vector<Vec> Features, Errors;
+  for (size_t I = 0; I < StreamLen; ++I) {
+    Features.push_back({Gen.uniform(0.1, 1.0), Gen.uniform(0.2, 1.0),
+                        Gen.uniform(0.05, 0.5), Gen.uniform(0.0, 24.0),
+                        Gen.uniform(4.0, 32.0), Gen.uniform(0.0, 48.0),
+                        Gen.uniform(0.0, 32.0), Gen.uniform(0.0, 32.0),
+                        Gen.uniform(0.0, 1.0), Gen.uniform(0.0, 0.1)});
+    Vec E(NumExperts);
+    for (double &X : E)
+      X = Gen.uniform(0.0, 1.5);
+    Errors.push_back(std::move(E));
+  }
+  // The deployed selector of this kind, with the mixture factory's trained
+  // scaler and regime tags.
+  auto Mixture = exp::PolicySet::instance().mixtureFactory(NumExperts, Kind)();
+  auto Selector = static_cast<const core::MixtureOfExperts &>(*Mixture)
+                      .selector()
+                      .clone();
+  size_t I = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(Selector->select(Features[I]));
+    Selector->update(Features[I], Errors[I]);
+    I = (I + 1) % StreamLen;
+  }
 }
 
 // Substrate throughput: one scheduler tick of an 8-program machine. Puts
@@ -123,6 +162,12 @@ BENCHMARK(BM_OfflineSelect);
 BENCHMARK(BM_AnalyticSelect);
 BENCHMARK(BM_MixtureSelect);
 BENCHMARK(BM_MixtureSelect8Experts);
+BENCHMARK_CAPTURE(selectorDecision, perceptron, std::string("perceptron"));
+BENCHMARK_CAPTURE(selectorDecision, hyperplane, std::string("hyperplane"));
+BENCHMARK_CAPTURE(selectorDecision, accuracy, std::string("accuracy"));
+BENCHMARK_CAPTURE(selectorDecision, binned, std::string("binned"));
+BENCHMARK_CAPTURE(selectorDecision, regime, std::string("regime"));
+BENCHMARK_CAPTURE(selectorDecision, random, std::string("random"));
 BENCHMARK(BM_SimulationTick);
 BENCHMARK(BM_EmpiricalLabel);
 BENCHMARK(BM_FeatureAssembly);

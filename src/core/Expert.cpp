@@ -12,6 +12,26 @@
 using namespace medley;
 using namespace medley::core;
 
+OnlineEnvModel::OnlineEnvModel(double Prior, double Alpha) : Alpha(Alpha) {
+  assert(Alpha > 0.0 && Alpha <= 1.0 && "invalid EMA step");
+  Estimate[0] = Estimate[1] = Prior;
+}
+
+bool OnlineEnvModel::contended(const Vec &Features) {
+  assert(Features.size() >= 6 && "feature vector too short");
+  return Features[5] > Features[4]; // runq-sz vs processors.
+}
+
+double OnlineEnvModel::predict(const Vec &Features) const {
+  return Estimate[contended(Features) ? 1 : 0];
+}
+
+void OnlineEnvModel::observe(const Vec &Features, double ObservedEnvNorm) {
+  double &E = Estimate[contended(Features) ? 1 : 0];
+  E += Alpha * (ObservedEnvNorm - E);
+  ++Count;
+}
+
 Expert::Expert(std::string Name, std::string Description,
                LinearModel ThreadModel, LinearModel EnvModel,
                double MeanTrainingEnv)
@@ -29,13 +49,20 @@ Expert::Expert(std::string Name, std::string Description,
 }
 
 Expert::Expert(std::string Name, std::string Description, PredictFn ThreadFn,
-               PredictFn EnvFn, double MeanTrainingEnv,
-               ObserveEnvFn ObserveEnv)
+               PredictFn EnvFn, double MeanTrainingEnv)
     : Name(std::move(Name)), Description(std::move(Description)),
       ThreadFn(std::move(ThreadFn)), EnvFn(std::move(EnvFn)),
-      ObserveEnv(std::move(ObserveEnv)), MeanTrainingEnv(MeanTrainingEnv) {
+      MeanTrainingEnv(MeanTrainingEnv) {
   assert(this->ThreadFn && this->EnvFn &&
          "external experts need both prediction functions");
+}
+
+Expert::Expert(std::string Name, std::string Description, PredictFn ThreadFn,
+               OnlineEnvModel EnvPrior, double MeanTrainingEnv)
+    : Expert(std::move(Name), std::move(Description), std::move(ThreadFn),
+             [EnvPrior](const Vec &X) { return EnvPrior.predict(X); },
+             MeanTrainingEnv) {
+  this->EnvPrior = EnvPrior;
 }
 
 unsigned Expert::predictThreads(const policy::FeatureVector &Features) const {
@@ -51,12 +78,6 @@ double Expert::predictEnvNorm(const policy::FeatureVector &Features) const {
   double Raw = LinearEnv ? LinearEnv->predict(Features.Values)
                          : EnvFn(Features.Values);
   return std::max(0.0, Raw);
-}
-
-void Expert::observeEnvironment(const Vec &Features,
-                                double ObservedEnvNorm) const {
-  if (ObserveEnv)
-    ObserveEnv(Features, ObservedEnvNorm);
 }
 
 const LinearModel *Expert::threadModel() const { return LinearThread.get(); }

@@ -19,7 +19,8 @@
 /// via whatever means" — so an Expert can also be built from arbitrary
 /// prediction functions (k-NN models, hand-written heuristics, ...), and an
 /// expert without an offline environment model can learn one online from
-/// the observations the mixture feeds back (Section 4.1's retrofit path).
+/// the observations each mixture instance feeds back (Section 4.1's
+/// retrofit path).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,19 +32,43 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 namespace medley::core {
+
+/// An environment predictor learned online: an exponentially-weighted
+/// running estimate of the environment norm, optionally conditioned on the
+/// observable machine regime (contended / uncontended). Starts from a
+/// prior and converges as observations arrive. A plain value: an expert
+/// holds the untrained model, and every mixture instance trains its own
+/// copy.
+class OnlineEnvModel {
+public:
+  /// \p Prior seeds both regimes' estimates; \p Alpha is the EMA step.
+  explicit OnlineEnvModel(double Prior, double Alpha = 0.1);
+
+  /// Predicted ||e_{t+1}|| for the 10-feature vector \p Features.
+  double predict(const Vec &Features) const;
+
+  /// Folds in a realised observation for a past decision at \p Features.
+  void observe(const Vec &Features, double ObservedEnvNorm);
+
+  /// Observations folded in so far.
+  size_t observations() const { return Count; }
+
+private:
+  static bool contended(const Vec &Features);
+
+  double Alpha;
+  double Estimate[2]; ///< Per regime: [uncontended, contended].
+  size_t Count = 0;
+};
 
 /// One offline-trained mapping policy with its quality proxy.
 class Expert {
 public:
   /// Raw prediction function over the 10-feature vector.
   using PredictFn = std::function<double(const Vec &)>;
-
-  /// Callback fed the observed environment norm after each judged decision
-  /// (used by experts that learn their environment model online).
-  using ObserveEnvFn = std::function<void(const Vec &Features,
-                                          double ObservedEnvNorm)>;
 
   Expert() = default;
 
@@ -52,20 +77,22 @@ public:
          LinearModel EnvModel, double MeanTrainingEnv);
 
   /// External-expert construction: arbitrary thread / environment
-  /// predictors and an optional online environment-learning hook.
+  /// predictors.
   Expert(std::string Name, std::string Description, PredictFn ThreadFn,
-         PredictFn EnvFn, double MeanTrainingEnv,
-         ObserveEnvFn ObserveEnv = nullptr);
+         PredictFn EnvFn, double MeanTrainingEnv);
+
+  /// Construction for an expert that ships without an environment
+  /// predictor (Section 4.1's retrofit path): each mixture instance trains
+  /// its own copy of \p EnvPrior from the observations it feeds back.
+  Expert(std::string Name, std::string Description, PredictFn ThreadFn,
+         OnlineEnvModel EnvPrior, double MeanTrainingEnv);
 
   /// Thread prediction n = clamp(round(w . f + beta), 1, MaxThreads).
   unsigned predictThreads(const policy::FeatureVector &Features) const;
 
-  /// Environment prediction ||ê_{t+1}|| = m . f_t + beta.
+  /// Environment prediction ||ê_{t+1}|| = m . f_t + beta; the untrained
+  /// prior for an expert that learns its environment model online.
   double predictEnvNorm(const policy::FeatureVector &Features) const;
-
-  /// Reports the realised environment for a past decision at \p Features
-  /// (no-op for purely offline experts).
-  void observeEnvironment(const Vec &Features, double ObservedEnvNorm) const;
 
   const std::string &name() const { return Name; }
   const std::string &description() const { return Description; }
@@ -79,10 +106,11 @@ public:
   /// experts along the hyperplane selector's axis.
   double meanTrainingEnv() const { return MeanTrainingEnv; }
 
-  /// True when the expert learns its environment model online and wants
-  /// observeEnvironment callbacks; the mixture skips the feedback loop
-  /// entirely when no expert does.
-  bool hasEnvObserver() const { return static_cast<bool>(ObserveEnv); }
+  /// The untrained environment model of an expert that learns it online,
+  /// or nullptr. The expert never trains it: a mixture instance copies it.
+  const OnlineEnvModel *onlineEnvPrior() const {
+    return EnvPrior ? &*EnvPrior : nullptr;
+  }
 
 private:
   std::string Name;
@@ -92,7 +120,7 @@ private:
   std::shared_ptr<const LinearModel> LinearEnv;
   PredictFn ThreadFn;
   PredictFn EnvFn;
-  ObserveEnvFn ObserveEnv;
+  std::optional<OnlineEnvModel> EnvPrior;
   double MeanTrainingEnv = 0.0;
 };
 

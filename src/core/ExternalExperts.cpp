@@ -11,35 +11,10 @@
 #include "support/Statistics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 using namespace medley;
 using namespace medley::core;
-
-//===----------------------------------------------------------------------===//
-// OnlineEnvModel
-//===----------------------------------------------------------------------===//
-
-OnlineEnvModel::OnlineEnvModel(double Prior, double Alpha) : Alpha(Alpha) {
-  assert(Alpha > 0.0 && Alpha <= 1.0 && "invalid EMA step");
-  Estimate[0] = Estimate[1] = Prior;
-}
-
-bool OnlineEnvModel::contended(const Vec &Features) {
-  assert(Features.size() >= 6 && "feature vector too short");
-  return Features[5] > Features[4]; // runq-sz vs processors.
-}
-
-double OnlineEnvModel::predict(const Vec &Features) const {
-  return Estimate[contended(Features) ? 1 : 0];
-}
-
-void OnlineEnvModel::observe(const Vec &Features, double ObservedEnvNorm) {
-  double &E = Estimate[contended(Features) ? 1 : 0];
-  E += Alpha * (ObservedEnvNorm - E);
-  ++Count;
-}
 
 //===----------------------------------------------------------------------===//
 // k-NN expert
@@ -143,13 +118,10 @@ Expert medley::core::makeHandcraftedExpert(const sim::MachineConfig &Machine,
     return Slack;
   };
 
-  // The environment model is learned online from the mixture's feedback;
-  // its prior is the idle machine's norm (processors fully available,
-  // memory free): sqrt((P/P)^2 + 1^2) = sqrt(2).
-  auto Env = std::make_shared<OnlineEnvModel>(std::sqrt(2.0));
-  return Expert(
-      Name, "hand-written analytic",
-      ThreadFn, [Env](const Vec &X) { return Env->predict(X); },
-      /*MeanTrainingEnv=*/std::sqrt(2.0),
-      [Env](const Vec &X, double Observed) { Env->observe(X, Observed); });
+  // The environment model is learned online, by each mixture instance from
+  // its own feedback; its prior is the idle machine's norm (processors
+  // fully available, memory free): sqrt((P/P)^2 + 1^2) = sqrt(2).
+  return Expert(Name, "hand-written analytic", ThreadFn,
+                OnlineEnvModel(std::sqrt(2.0)),
+                /*MeanTrainingEnv=*/std::sqrt(2.0));
 }

@@ -18,8 +18,8 @@
 ///    environment predictor) and see how it affects the environment ...
 ///    slowly building an environment predictor automatically over time".
 ///    makeHandcraftedExpert wraps a human-written thread heuristic and
-///    attaches an OnlineEnvModel that starts as a prior and refines itself
-///    from the observations the mixture feeds back.
+///    attaches an OnlineEnvModel prior, which each mixture instance copies
+///    and refines from the observations it feeds back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,32 +34,6 @@
 namespace medley::core {
 
 class ExpertBuilder;
-
-/// An environment predictor learned online: an exponentially-weighted
-/// running estimate of the environment norm, optionally conditioned on the
-/// observable machine regime (contended / uncontended). Starts from a
-/// prior and converges as observations arrive.
-class OnlineEnvModel {
-public:
-  /// \p Prior seeds both regimes' estimates; \p Alpha is the EMA step.
-  explicit OnlineEnvModel(double Prior, double Alpha = 0.1);
-
-  /// Predicted ||e_{t+1}|| for the 10-feature vector \p Features.
-  double predict(const Vec &Features) const;
-
-  /// Folds in a realised observation for a past decision at \p Features.
-  void observe(const Vec &Features, double ObservedEnvNorm);
-
-  /// Observations folded in so far.
-  size_t observations() const { return Count; }
-
-private:
-  static bool contended(const Vec &Features);
-
-  double Alpha;
-  double Estimate[2]; ///< Per regime: [uncontended, contended].
-  size_t Count = 0;
-};
 
 /// Builds an expert whose thread and environment predictors are k-NN
 /// models trained on \p Builder's corpus ("other modeling techniques ...
@@ -79,8 +53,8 @@ Expert makeSvrExpert(ExpertBuilder &Builder, const std::string &Name,
 ///   * thread heuristic: claim the processors left over by the external
 ///     workload; stay within one socket when the loop is branchy
 ///     (synchronisation-bound); never exceed the machine.
-///   * environment model: an OnlineEnvModel (shared_ptr captured by the
-///     expert's hooks) that learns from the mixture's feedback.
+///   * environment model: an OnlineEnvModel prior; every mixture instance
+///     trains its own copy from its own feedback.
 Expert makeHandcraftedExpert(const sim::MachineConfig &Machine,
                              const std::string &Name);
 

@@ -48,8 +48,8 @@ MixtureOfExperts::MixtureOfExperts(
   bool Linear = K <= ExpertBank::MaxLanes;
   for (size_t I = 0; I < K; ++I) {
     const Expert &E = (*this->Experts)[I];
-    if (E.hasEnvObserver())
-      AnyEnvObserver = true;
+    if (const OnlineEnvModel *Prior = E.onlineEnvPrior())
+      OnlineEnv.emplace_back(I, *Prior);
     Linear = Linear && E.threadModel() && E.envModel();
     if (Linear) {
       Thread[I] = E.threadModel();
@@ -83,6 +83,8 @@ void MixtureOfExperts::stashPending(const policy::FeatureVector &Features,
     PendingFeatures = Features.Values;
     for (size_t K = 0; K < Experts->size(); ++K)
       PendingEnvPredictions[K] = (*Experts)[K].predictEnvNorm(Features);
+    for (const auto &[K, Model] : OnlineEnv)
+      PendingEnvPredictions[K] = std::max(0.0, Model.predict(Features.Values));
   }
   PendingChosen = Chosen;
   HasPending = true;
@@ -100,11 +102,10 @@ bool MixtureOfExperts::judgePreviousDecision(
   for (size_t K = 0; K < PendingEnvPredictions.size(); ++K)
     Errors[K] = std::fabs(PendingEnvPredictions[K] - Observed);
 
-  // Experts that learn their environment model online (Section 4.1's
-  // retrofit path) receive the realised observation.
-  if (AnyEnvObserver)
-    for (const Expert &E : *Experts)
-      E.observeEnvironment(PendingFeatures, Observed);
+  // This instance's online environment models (Section 4.1's retrofit
+  // path) learn the realised observation.
+  for (auto &[K, Model] : OnlineEnv)
+    Model.observe(PendingFeatures, Observed);
 
   if (Stats) {
     double Tolerance = EnvAccuracyTolerance * std::max(Observed, 1e-6);
@@ -192,6 +193,8 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
 
 void MixtureOfExperts::reset() {
   Selector->reset();
+  for (auto &[K, Model] : OnlineEnv)
+    Model = *(*Experts)[K].onlineEnvPrior();
   HasPending = false;
   LastExpert = 0;
 }

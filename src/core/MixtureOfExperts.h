@@ -29,6 +29,7 @@
 
 #include <array>
 #include <memory>
+#include <utility>
 
 namespace medley::core {
 
@@ -68,9 +69,9 @@ public:
 
 private:
   /// Judges the pending decision, if there is one: writes each expert's
-  /// environment error into \p Errors, feeds the online environment
-  /// observers and the statistics, and returns true. Runs before the bank
-  /// overwrites PendingEnvPredictions.
+  /// environment error into \p Errors, trains this instance's online
+  /// environment models, feeds the statistics, and returns true. Runs
+  /// before the bank overwrites PendingEnvPredictions.
   bool judgePreviousDecision(const policy::FeatureVector &Features,
                              double *Errors);
 
@@ -116,9 +117,10 @@ private:
   ExpertBank Bank;
   std::array<double, ExpertBank::MaxLanes> RawThreads{};
 
-  /// Any expert with an online environment-learning hook? When false the
-  /// per-decision observeEnvironment fan-out is a guaranteed no-op.
-  bool AnyEnvObserver = false;
+  /// This instance's own copy of each online expert's environment model
+  /// (Expert::onlineEnvPrior), by expert index: it learns from this
+  /// instance's decisions only. Empty when every expert's model is offline.
+  std::vector<std::pair<size_t, OnlineEnvModel>> OnlineEnv;
 };
 
 } // namespace medley::core

@@ -89,7 +89,7 @@ struct FleetResult {
 };
 
 /// The assembled scenario. Splitting construction / seeding / running lets
-/// bench_fleet warm an engine up and then meter single ticks (the
+/// AllocationTest warm an engine up and then meter its ticks (the
 /// zero-allocation gate) with the same assembly the full run uses.
 class FleetScenario {
 public:

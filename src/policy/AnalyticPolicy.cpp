@@ -78,15 +78,20 @@ void AnalyticPolicy::observe(const workload::RegionOutcome &Outcome) {
     // Passive monitoring (the PLDI'14 scheme watches instantaneous
     // performance): compare each region's rate with its rate when the
     // hold began; a large drift means the environment changed.
-    auto [It, Inserted] =
-        HoldReferenceRates.try_emplace(Outcome.Region, Outcome.rate());
-    if (!Inserted) {
-      double Reference = It->second;
-      if (Reference > 0.0) {
-        double Drift = Outcome.rate() / Reference - 1.0;
-        if (Drift > Opts.DriftThreshold || Drift < -Opts.DriftThreshold)
-          DriftDetected = true;
-      }
+    auto It = std::find_if(
+        HoldReferenceRates.begin(), HoldReferenceRates.end(),
+        [&](const auto &Entry) { return Entry.first == Outcome.Region; });
+    if (It == HoldReferenceRates.end()) {
+      // Grows to the program's region count once; clear() keeps capacity.
+      // medley-lint: allow(hotpath-escape) — sticky growth.
+      HoldReferenceRates.emplace_back(Outcome.Region, Outcome.rate());
+      return;
+    }
+    double Reference = It->second;
+    if (Reference > 0.0) {
+      double Drift = Outcome.rate() / Reference - 1.0;
+      if (Drift > Opts.DriftThreshold || Drift < -Opts.DriftThreshold)
+        DriftDetected = true;
     }
     return;
   }

@@ -23,7 +23,8 @@
 #include "policy/ThreadPolicy.h"
 #include "support/Random.h"
 
-#include <map>
+#include <utility>
+#include <vector>
 
 namespace medley::policy {
 
@@ -77,9 +78,12 @@ private:
   unsigned MaxThreadsSeen = 1;
   bool Primed = false;
 
-  /// Reference rate per region established at the start of a hold; used
-  /// for drift detection.
-  std::map<const workload::RegionSpec *, double> HoldReferenceRates;
+  /// Reference rate per region, the first one each region reports in a
+  /// hold; used for drift detection. A program has a handful of regions,
+  /// so a flat list searched linearly serves, and clearing it keeps its
+  /// capacity: no hold after the first allocates.
+  std::vector<std::pair<const workload::RegionSpec *, double>>
+      HoldReferenceRates;
   bool DriftDetected = false;
 };
 

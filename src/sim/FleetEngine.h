@@ -160,10 +160,10 @@ public:
 
   /// The hot per-shard tick loop: exactly \p Ticks simulation steps with
   /// per-tick latency recording. No mailbox traffic, no churn, and — once
-  /// per-shard capacities are warm — no heap allocation (the PR 4/6
-  /// zero-alloc contract, enforced by bench_fleet's allocation counter
-  /// and medley-lint L7/L12). Public so tests and the lint harness can
-  /// drive a single shard.
+  /// per-shard capacities are warm — no heap allocation (the zero-alloc
+  /// contract, enforced by AllocationTest's counting allocator and
+  /// medley-lint L7/L12). Public so tests and the lint harness can drive a
+  /// single shard.
   void stepShard(unsigned Shard, unsigned Ticks);
 
   /// Round phases around stepShard, exposed for tests: drainInbox adopts

@@ -17,6 +17,7 @@
 
 #include "sim/EnvSample.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -137,6 +138,13 @@ protected:
 
   TaskState State;
   friend class Simulation;
+
+private:
+  /// Index of this task's slot in the TaskTable that holds it, or NoSlot.
+  /// The table keeps it current, so removal is one lookup, not a scan.
+  static constexpr size_t NoSlot = SIZE_MAX;
+  size_t TableSlot = NoSlot;
+  friend class TaskTable;
 };
 
 } // namespace medley::sim

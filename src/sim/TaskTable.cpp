@@ -11,9 +11,17 @@
 using namespace medley;
 using namespace medley::sim;
 
+TaskTable::~TaskTable() {
+  for (Task *T : Ptrs)
+    if (T)
+      T->TableSlot = Task::NoSlot;
+}
+
 void TaskTable::adopt(std::shared_ptr<Task> T) {
   assert(T && "null task");
+  assert(T->TableSlot == Task::NoSlot && "task is already in a table");
   Task *Raw = T.get();
+  Raw->TableSlot = Owners.size();
   // Capacities stick at the task-set high-water mark, so add/remove churn
   // at a stable population never reallocates.
   // medley-lint: allow(hotpath-escape) — amortized sticky column growth.
@@ -25,16 +33,16 @@ void TaskTable::adopt(std::shared_ptr<Task> T) {
 void TaskTable::remove(const Task *T) {
   // Tombstone instead of erase: nulling the slot releases the task now but
   // leaves the survivors in place, so k removals between ticks cost one
-  // compaction pass rather than k element-shifting erases. The full scan
-  // (no early break) keeps the historical semantics of removing every
-  // occurrence of a pointer added more than once.
-  for (size_t I = 0, N = Owners.size(); I < N; ++I)
-    if (Ptrs[I] == T && Owners[I]) {
-      Owners[I].reset();
-      Ptrs[I] = nullptr;
-      ++Tombstones;
-      ++Generation;
-    }
+  // compaction pass rather than k element-shifting erases. The slot check
+  // rejects a task this table does not hold (another table's, or none).
+  size_t Slot = T->TableSlot;
+  if (Slot >= Ptrs.size() || Ptrs[Slot] != T)
+    return;
+  Ptrs[Slot]->TableSlot = Task::NoSlot;
+  Owners[Slot].reset();
+  Ptrs[Slot] = nullptr;
+  ++Tombstones;
+  ++Generation;
 }
 
 void TaskTable::compact() const {
@@ -49,6 +57,7 @@ void TaskTable::compact() const {
     if (Out != I) {
       Owners[Out] = std::move(Owners[I]);
       Ptrs[Out] = Ptrs[I];
+      Ptrs[Out]->TableSlot = Out;
     }
     ++Out;
   }

@@ -39,14 +39,22 @@ public:
   /// survive past the next observation.
   static constexpr size_t CompactionThreshold = 1;
 
-  /// Appends \p T. Bumps the generation.
+  TaskTable() = default;
+  /// Frees the slot of every task still held, so another table may adopt
+  /// it.
+  ~TaskTable();
+  TaskTable(const TaskTable &) = delete;
+  TaskTable &operator=(const TaskTable &) = delete;
+
+  /// Appends \p T, which no table may hold already. Bumps the generation.
   /// (Named adopt, not add, so medley-lint's name-based call resolution
   /// doesn't conflate it with the dataset/statistics add() methods on the
   /// decision path.)
   void adopt(std::shared_ptr<Task> T);
 
-  /// Tombstones every slot holding \p T (releases the task now, compacts
-  /// later). Bumps the generation.
+  /// Tombstones \p T's slot (releases the task now, compacts later) and
+  /// bumps the generation; a no-op when this table does not hold \p T.
+  /// One lookup: every task knows its slot.
   void remove(const Task *T);
 
   /// Erases tombstoned slots, preserving insertion order, once the count

@@ -1084,13 +1084,18 @@ TEST(ExternalExpertTest, HandcraftedExpertHeuristics) {
 TEST(ExternalExpertTest, HandcraftedEnvModelLearnsFromFeedback) {
   Expert E = makeHandcraftedExpert(sim::MachineConfig::evaluationPlatform(),
                                    "hand");
+  ASSERT_NE(E.onlineEnvPrior(), nullptr);
   policy::FeatureVector F = makeFeatures(2.4, 16.0, 50.0);
-  double Before = E.predictEnvNorm(F);
+  OnlineEnvModel Model = *E.onlineEnvPrior();
+  double Before = Model.predict(F.Values);
+  EXPECT_DOUBLE_EQ(E.predictEnvNorm(F), Before) << "the expert's own prior";
   for (int I = 0; I < 30; ++I)
-    E.observeEnvironment(F.Values, 2.4);
-  double After = E.predictEnvNorm(F);
+    Model.observe(F.Values, 2.4);
+  double After = Model.predict(F.Values);
   EXPECT_GT(std::fabs(2.4 - Before), std::fabs(2.4 - After));
   EXPECT_NEAR(After, 2.4, 0.1);
+  // Training a copy leaves the expert's own prior untouched.
+  EXPECT_DOUBLE_EQ(E.predictEnvNorm(F), Before);
 }
 
 TEST(ExternalExpertTest, KnnExpertFromCorpus) {
@@ -1163,17 +1168,61 @@ TEST(ExpertBuilderTest, TrainedModelsArePinned) {
   EXPECT_EQ(Hash, 0x37499915adb10337ULL);
 }
 
+namespace {
+
+/// An expert with no offline environment model: 20 threads, and an online
+/// model starting at \p Prior with EMA step 0.5.
+Expert makeOnlineExpert(double Prior) {
+  return Expert(
+      "online", "learns online", [](const Vec &) { return 20.0; },
+      OnlineEnvModel(Prior, /*Alpha=*/0.5), Prior);
+}
+
+} // namespace
+
 TEST(MixtureTest, FeedsObservationsToOnlineExperts) {
-  auto Shared = std::make_shared<size_t>(0);
   auto Experts = std::make_shared<std::vector<Expert>>();
-  Experts->push_back(Expert(
-      "obs", "observing", [](const Vec &) { return 8.0; },
-      [](const Vec &) { return 1.0; }, 1.0,
-      [Shared](const Vec &, double) { ++*Shared; }));
-  MixtureOfExperts Mix(Experts, std::make_unique<FixedSelector>(1, 0));
-  for (int I = 0; I < 5; ++I)
-    Mix.select(makeFeatures(1.0));
-  EXPECT_EQ(*Shared, 4u); // Every decision but the last was judged.
+  Experts->push_back(makeOnlineExpert(1.0));
+  auto Stats = std::make_shared<MoeStats>(1);
+  MixtureOfExperts Mix(Experts, std::make_unique<FixedSelector>(1, 0), Stats);
+  for (int I = 0; I < 10; ++I)
+    Mix.select(makeFeatures(3.0));
+  // Every decision but the last was judged. The prior 1.0 misses 3.0 by
+  // more than 20%, and so does the first estimate learned from it (2.0);
+  // from the third judgement on (2.5, 2.75, ...) the estimate is within.
+  EXPECT_EQ(Stats->EnvTotal[0], 9u);
+  EXPECT_EQ(Stats->EnvAccurate[0], 7u);
+  EXPECT_DOUBLE_EQ(Experts->front().predictEnvNorm(makeFeatures(3.0)), 1.0)
+      << "the instance trains its own copy, not the expert's prior";
+}
+
+TEST(MixtureTest, OnlineEnvModelsArePerInstance) {
+  // Judged against an observed norm of 1.0, the online expert (prior 1.0)
+  // beats the offline one (constant 2.0), unless its model has been
+  // trained away from the prior. Instance A trains its copy towards 3.0;
+  // B, made afterwards by the same factory, must not see that.
+  auto Experts = std::make_shared<std::vector<Expert>>();
+  Experts->push_back(makeConstantExpert("offline", 4.0, 2.0));
+  Experts->push_back(makeOnlineExpert(1.0));
+  policy::PolicyFactory Factory = [Experts] {
+    return std::make_unique<MixtureOfExperts>(
+        Experts, std::make_unique<AccuracySelector>(2));
+  };
+  auto Run = [](policy::ThreadPolicy &P, double Observed) {
+    std::vector<unsigned> Threads;
+    for (int I = 0; I < 20; ++I)
+      Threads.push_back(P.select(makeFeatures(Observed)));
+    return Threads;
+  };
+  std::vector<unsigned> Fresh = Run(*Factory(), 1.0);
+
+  auto A = Factory();
+  Run(*A, 3.0);
+  auto B = Factory();
+  EXPECT_EQ(Run(*B, 1.0), Fresh);
+  // reset() rewinds A's copy to the prior, as it does the selector.
+  A->reset();
+  EXPECT_EQ(Run(*A, 1.0), Fresh);
 }
 
 //===----------------------------------------------------------------------===//

@@ -50,8 +50,8 @@ struct CallSite {
 /// linalg helpers (add/sub/scale/hadamard). resize/reserve are
 /// deliberately NOT allocation sites: sizing a reused scratch buffer to
 /// a sticky capacity is the sanctioned hot-path idiom (DESIGN.md §11)
-/// and is gated empirically by bench_hotpath_decision's allocation
-/// counter instead.
+/// and is gated empirically by AllocationTest's counting allocator
+/// instead.
 struct AllocSite {
   std::string What; ///< Human label, e.g. "container growth 'push_back'".
   unsigned Line = 0;

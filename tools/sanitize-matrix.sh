@@ -40,12 +40,10 @@ for ENTRY in address:build-asan undefined:build-ubsan thread:build-tsan; do
     # shellcheck disable=SC2086 # CTEST_ARGS is intentionally word-split.
     (cd "$DIR" && ctest --output-on-failure -j "$JOBS" $CTEST_ARGS)
   else
-    # Default run: the unit/chaos suites (which include the columnar trace
-    # and arena TUs) first, then the bench-smoke figure paths as their own
-    # leg so the trace writer/reader and arena hot paths see real workloads
-    # under each sanitizer.
-    (cd "$DIR" && ctest --output-on-failure -j "$JOBS" -LE bench-smoke)
-    (cd "$DIR" && ctest --output-on-failure -L bench-smoke)
+    # Default run: every suite. It includes SanitizerSmokeTest, whose
+    # traced co-execution and churning storm fleet drive the trace
+    # writer/reader and the churn arena on real workloads.
+    (cd "$DIR" && ctest --output-on-failure -j "$JOBS")
     # Fleet smoke leg: the sharded engine's phase barriers and mailbox
     # columns are exactly the protocol TSan exists to check. The fleet
     # suite already ran above under the chaos label; running it once
