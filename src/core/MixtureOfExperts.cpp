@@ -108,6 +108,7 @@ bool MixtureOfExperts::judgePreviousDecision(
     Model.observe(PendingFeatures, Observed);
 
   if (Stats) {
+    std::lock_guard<std::mutex> Lock(Stats->Mutex);
     double Tolerance = EnvAccuracyTolerance * std::max(Observed, 1e-6);
     for (size_t K = 0; K < PendingEnvPredictions.size(); ++K) {
       ++Stats->EnvTotal[K];
@@ -182,6 +183,7 @@ unsigned MixtureOfExperts::select(const policy::FeatureVector &Features) {
   stashPending(Features, Chosen);
 
   if (Stats) {
+    std::lock_guard<std::mutex> Lock(Stats->Mutex);
     ++Stats->SelectionCounts[Chosen];
     Stats->MixtureThreads.add(Threads);
     // expertThreads is pure: recomputing it gives the blend's values.

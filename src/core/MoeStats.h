@@ -9,7 +9,9 @@
 /// figures: per-expert environment-prediction accuracy (Fig 15a), expert
 /// selection frequency (Fig 15b) and thread-number distributions (Fig 17).
 /// A MoeStats instance can be shared across all policy instances of a
-/// scenario to aggregate over runs.
+/// scenario to aggregate over runs, also while exp::Driver runs them on
+/// its pool: a mixture records under the instance's mutex, and every field
+/// is a count, so the totals do not depend on the order of the runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #include "support/Histogram.h"
 
 #include <cstddef>
+#include <mutex>
 #include <vector>
 
 namespace medley::core {
@@ -45,6 +48,10 @@ struct MoeStats {
   /// what the mixture chose (Fig 17).
   std::vector<Histogram> ExpertThreads;
   Histogram MixtureThreads;
+
+  /// Held by a mixture while it records a decision. Readers take the
+  /// figures after the runs have joined.
+  std::mutex Mutex;
 
   /// Selection frequency of expert \p K in [0, 1].
   double selectionFrequency(size_t K) const;

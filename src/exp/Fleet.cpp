@@ -156,7 +156,7 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
       std::max(1.0, Config.BurstFraction * static_cast<double>(PerShard)));
   Engine->setChurnHook([NumShards, Rate, BurstEvery, BurstSize](
                            unsigned, uint64_t Round, Rng &R,
-                           sim::Simulation &Sim, support::Arena &Scratch,
+                           sim::Simulation &Sim, std::vector<size_t> &Gone,
                            sim::MailSink &Sink) {
     // The round-start task list, taken once. A removal only tombstones its
     // slot, so the list stays valid, and the table compacts once, when
@@ -168,8 +168,8 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
     if (R.bernoulli(Want - static_cast<double>(Leavers)))
       ++Leavers;
     Leavers = std::min<uint64_t>(Leavers, Alive);
-    // Round-start slots of this round's victims so far, ascending.
-    size_t *Gone = Scratch.allocateArray<size_t>(Leavers);
+    // Gone: round-start slots of this round's victims so far, ascending,
+    // in the shard's scratch vector (empty here, its capacity kept).
     for (uint64_t I = 0; I < Leavers; ++I) {
       // Victim I is drawn among the Alive - I tenants still live, in
       // insertion order; skipping the earlier victims maps that rank to
@@ -179,8 +179,7 @@ FleetScenario::FleetScenario(FleetScenarioConfig InConfig)
       size_t Pos = 0;
       for (; Pos < I && Gone[Pos] <= Slot; ++Pos)
         ++Slot;
-      std::copy_backward(Gone + Pos, Gone + I, Gone + I + 1);
-      Gone[Pos] = Slot;
+      Gone.insert(Gone.begin() + static_cast<std::ptrdiff_t>(Pos), Slot);
       Sim.removeTask(Tasks[Slot].get());
       if (R.bernoulli(0.5))
         Sink.send(static_cast<unsigned>(R.uniformInt(0, NumShards - 1)),

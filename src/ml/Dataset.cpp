@@ -18,7 +18,6 @@ void Dataset::add(Vec X, double Y, std::string Group) {
   assert(X.size() == Names.size() && "sample arity mismatch");
   // Online learning appends one sample per observation; growth is
   // amortized O(1) and bounded by the training-window cap upstream.
-  // medley-lint: allow(hotpath-escape) — inherent online-learning append.
   Samples.push_back(Sample{std::move(X), Y, std::move(Group)});
 }
 

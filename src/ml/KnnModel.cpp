@@ -52,7 +52,6 @@ double KnnModel::predict(const Vec &X) const {
       double Delta = Points[I][J] - Q[J];
       D2 += Delta * Delta;
     }
-    // medley-lint: allow(hotpath-escape) — amortized: reserve above pins capacity.
     DistTarget.emplace_back(D2, Targets[I]);
   }
   size_t K = std::min(Options.K, DistTarget.size());

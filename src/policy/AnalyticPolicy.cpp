@@ -83,7 +83,6 @@ void AnalyticPolicy::observe(const workload::RegionOutcome &Outcome) {
         [&](const auto &Entry) { return Entry.first == Outcome.Region; });
     if (It == HoldReferenceRates.end()) {
       // Grows to the program's region count once; clear() keeps capacity.
-      // medley-lint: allow(hotpath-escape) — sticky growth.
       HoldReferenceRates.emplace_back(Outcome.Region, Outcome.rate());
       return;
     }

@@ -45,9 +45,9 @@ uint64_t fnvStats(uint64_t Hash, const FleetShardStats &S) {
 /// shard's worker under the round-phase barrier protocol).
 struct FleetEngine::Shard {
   std::unique_ptr<Simulation> Sim;
-  uint64_t Seed = 0;          ///< Derived (fleet seed, shard id) seed.
-  Rng ChurnRng{0};            ///< Re-seeded in the engine constructor.
-  support::Arena Scratch;     ///< Churn-hook transients; reset per round.
+  uint64_t Seed = 0;           ///< Derived (fleet seed, shard id) seed.
+  Rng ChurnRng{0};             ///< Re-seeded in the engine constructor.
+  std::vector<size_t> Scratch; ///< Churn-hook pick list; capacity persists.
   support::LatencyHistogram Latency;
   FleetShardStats Stats;
   /// Inbox[Src]: tokens posted by shard Src this round, drained by this
@@ -92,11 +92,6 @@ Simulation &FleetEngine::shardSim(unsigned Shard) {
 Rng &FleetEngine::shardChurnRng(unsigned Shard) {
   assert(Shard < Shards.size());
   return Shards[Shard]->ChurnRng;
-}
-
-support::Arena &FleetEngine::shardArena(unsigned Shard) {
-  assert(Shard < Shards.size());
-  return Shards[Shard]->Scratch;
 }
 
 uint64_t FleetEngine::shardSeed(unsigned Shard) const {
@@ -159,7 +154,7 @@ void FleetEngine::runChurn(unsigned Shard, uint64_t Round) {
   if (!Churn)
     return;
   struct Shard &S = *Shards[Shard];
-  S.Scratch.reset();
+  S.Scratch.clear();
   MailSink Sink(*this, Shard);
   Churn(Shard, Round, S.ChurnRng, *S.Sim, S.Scratch, Sink);
 }

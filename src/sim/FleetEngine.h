@@ -8,7 +8,7 @@
 /// The scale axis of the project (DESIGN.md §16): N share-nothing machine
 /// shards, each owning its own Simulation (task table, SystemMonitor), its
 /// own churn Rng stream derived from the fleet seed and the shard id, its
-/// own latency histogram and its own per-round scratch arena. Shards never
+/// own latency histogram and its own churn scratch. Shards never
 /// touch each other's state on the tick path; the only cross-shard channel
 /// is a (dst, src) mailbox matrix of tenant tokens, written by the source
 /// shard during its round and drained by the destination in source-id
@@ -26,7 +26,6 @@
 #define MEDLEY_SIM_FLEETENGINE_H
 
 #include "sim/Simulation.h"
-#include "support/Arena.h"
 #include "support/Histogram.h"
 #include "support/ThreadPool.h"
 
@@ -109,12 +108,13 @@ private:
 
 /// Per-round churn hook, invoked on the shard's worker after its ticks:
 /// may remove tenants from the shard's simulation, post tokens via the
-/// sink, and use the shard arena for transient pick lists (reset before
-/// each invocation). \p Round is the 0-based round index. Must draw all
+/// sink, and keep a transient pick list in \p Scratch, the shard's own
+/// vector (cleared before each invocation, its capacity kept across
+/// rounds). \p Round is the 0-based round index. Must draw all
 /// randomness from \p ChurnRng to stay placement-independent.
 using ChurnHook = std::function<void(unsigned Shard, uint64_t Round,
                                      Rng &ChurnRng, Simulation &Sim,
-                                     support::Arena &Scratch,
+                                     std::vector<size_t> &Scratch,
                                      MailSink &Sink)>;
 
 /// N share-nothing machine shards driven rounds-at-a-time from a
@@ -129,12 +129,11 @@ public:
 
   unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
 
-  /// The shard's own simulation / churn stream / scratch arena. Outside a
-  /// run these are safe from the caller; during run() they are owned by
-  /// the shard's worker.
+  /// The shard's own simulation / churn stream. Outside a run these are
+  /// safe from the caller; during run() they are owned by the shard's
+  /// worker.
   Simulation &shardSim(unsigned Shard);
   Rng &shardChurnRng(unsigned Shard);
-  support::Arena &shardArena(unsigned Shard);
 
   /// Derived seed of \p Shard (exposed so scenario builders can derive
   /// further per-shard streams that stay placement-independent).
@@ -161,9 +160,8 @@ public:
   /// The hot per-shard tick loop: exactly \p Ticks simulation steps with
   /// per-tick latency recording. No mailbox traffic, no churn, and — once
   /// per-shard capacities are warm — no heap allocation (the zero-alloc
-  /// contract, enforced by AllocationTest's counting allocator and
-  /// medley-lint L7/L12). Public so tests and the lint harness can drive a
-  /// single shard.
+  /// contract, enforced by AllocationTest's counting allocator). Public so
+  /// tests can drive a single shard.
   void stepShard(unsigned Shard, unsigned Ticks);
 
   /// Round phases around stepShard, exposed for tests: drainInbox adopts

@@ -24,7 +24,6 @@ void TaskTable::adopt(std::shared_ptr<Task> T) {
   Raw->TableSlot = Owners.size();
   // Capacities stick at the task-set high-water mark, so add/remove churn
   // at a stable population never reallocates.
-  // medley-lint: allow(hotpath-escape) — amortized sticky column growth.
   Owners.push_back(std::move(T));
   Ptrs.push_back(Raw);
   ++Generation;

@@ -47,9 +47,6 @@ public:
   TaskTable &operator=(const TaskTable &) = delete;
 
   /// Appends \p T, which no table may hold already. Bumps the generation.
-  /// (Named adopt, not add, so medley-lint's name-based call resolution
-  /// doesn't conflate it with the dataset/statistics add() methods on the
-  /// decision path.)
   void adopt(std::shared_ptr<Task> T);
 
   /// Tombstones \p T's slot (releases the task now, compacts later) and

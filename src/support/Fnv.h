@@ -7,10 +7,10 @@
 ///
 /// \file
 /// 64-bit FNV-1a content hashing, shared by the ExpertIo on-disk format's
-/// checksum (DESIGN.md §14), the driver's per-cell seeds, the fleet's
-/// decision and stats checksums and medley-lint's fingerprints. The hash is
-/// incremental: start from fnv1aInit(), feed bytes through fnv1aUpdate, and
-/// the running value is the checksum at any prefix. A streamed hash over a
+/// checksum (DESIGN.md §14), the driver's per-cell seeds and the fleet's
+/// decision and stats checksums. The hash is incremental: start from
+/// fnv1aInit(), feed bytes through fnv1aUpdate, and the running value is
+/// the checksum at any prefix. A streamed hash over a
 /// file's payload therefore equals fnv1aBytes over the same bytes, which is
 /// what makes write-side (stream while serialising) and read-side (hash the
 /// reloaded payload) checksums comparable.

@@ -123,8 +123,6 @@ static std::vector<ProgramSpec> buildCatalog() {
   std::vector<ProgramSpec> Specs;
   Specs.reserve(std::size(Traits));
   for (const ProgramTraits &T : Traits)
-    // buildCatalog runs once inside allPrograms' function-local static.
-    // medley-lint: allow(hotpath-escape) — one-time static initializer.
     Specs.push_back(makeProgramSpec(T));
   return Specs;
 }

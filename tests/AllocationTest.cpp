@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 //
 // The zero-allocation contract (DESIGN.md §13.2): a steady co-execution
-// tick, a steady fleet shard tick and a warm decision of every policy make
-// no heap allocation. This binary replaces the global operator new with a
-// counting one, the only such replacement in the tree. ASan and TSan
-// intercept the allocator themselves, so there the replacement is compiled
-// out and the counting tests skip.
+// tick, a steady fleet shard tick, a warm churn round and a warm decision
+// of every policy and every mixture selector make no heap allocation. This
+// binary replaces the global operator new with a counting one, the only
+// such replacement in the tree. ASan and TSan intercept the allocator
+// themselves, so there the replacement is compiled out and the counting
+// tests skip.
 //
 // Two end-to-end runs ride along for the sanitizer matrix
 // (tools/sanitize-matrix.sh): a traced small/low co-execution whose trace
 // round-trips through the columnar writer and reader, and a churning
-// 4-shard storm fleet on a worker pool, which drives the churn hook's
-// arena and the mailbox.
+// 4-shard storm fleet on a worker pool, which drives the churn hook and
+// the mailbox.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -163,9 +165,49 @@ TEST(AllocationTest, SteadyFleetShardTickAllocatesNothing) {
   EXPECT_EQ(allocationsDuring([&] { Engine.stepShard(0, 64); }), 0u);
 }
 
+TEST(AllocationTest, WarmChurnHookAllocatesNothing) {
+  SKIP_WITHOUT_COUNTING();
+  // One churning shard, no bursts: every round about 40 of its 4,000
+  // tenants leave, half of them mailed back to the shard itself. Delivery
+  // builds tenants, so only the churn phase is counted.
+  exp::FleetScenarioConfig Config;
+  Config.Shards = 1;
+  Config.Tenants = 4000;
+  Config.ChurnRate = 0.01;
+  Config.BurstEvery = 0;
+  Config.StormShards = 0;
+  exp::FleetScenario Scenario(Config);
+  Scenario.seed();
+
+  sim::FleetEngine &Engine = Scenario.engine();
+  uint64_t Round = 0;
+  for (; Round < 4; ++Round) { // Warm-up: the pick list and inbox grow.
+    Engine.drainInbox(0);
+    Engine.runChurn(0, Round);
+  }
+  size_t Allocations = 0;
+  for (; Round < 12; ++Round) {
+    Engine.drainInbox(0);
+    Allocations += allocationsDuring([&] { Engine.runChurn(0, Round); });
+  }
+  EXPECT_EQ(Allocations, 0u) << "heap allocations over 8 warm churn rounds";
+}
+
 namespace {
 
 class DecisionAllocationTest : public ::testing::TestWithParam<std::string> {};
+
+/// The policy a parameter names: a `--policy` name, a mixture selector
+/// kind over 4 experts, or "fixed", the mixture pinned to expert 1.
+std::unique_ptr<policy::ThreadPolicy> makePolicy(const std::string &Name) {
+  exp::PolicySet &Set = exp::PolicySet::instance();
+  const std::vector<std::string> &Names = exp::PolicySet::policyNames();
+  if (std::find(Names.begin(), Names.end(), Name) != Names.end())
+    return Set.factory(Name)();
+  if (Name == "fixed")
+    return Set.singleExpertFactory(4, 1)();
+  return Set.mixtureFactory(4, Name)();
+}
 
 } // namespace
 
@@ -175,7 +217,7 @@ TEST_P(DecisionAllocationTest, WarmDecisionsAllocateNothing) {
   // policy's select, the clamp, then the completed region's feedback. The
   // stream walks cg's regions under a drifting environment with simulated
   // time advancing, so analytic explores and holds many times over.
-  auto Policy = exp::PolicySet::instance().factory(GetParam())();
+  auto Policy = makePolicy(GetParam());
   const workload::ProgramSpec &Spec = workload::Catalog::byName("cg");
   const unsigned TotalCores = 32;
   workload::ThreadChooser Choose = runtime::bindPolicy(*Policy, TotalCores);
@@ -223,6 +265,15 @@ TEST_P(DecisionAllocationTest, WarmDecisionsAllocateNothing) {
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, DecisionAllocationTest,
     ::testing::ValuesIn(exp::PolicySet::policyNames()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
+
+// `mixture` runs the regime selector; these are the mixture's other gates.
+INSTANTIATE_TEST_SUITE_P(
+    AllSelectors, DecisionAllocationTest,
+    ::testing::Values("accuracy", "binned", "perceptron", "hyperplane",
+                      "random", "fixed"),
     [](const ::testing::TestParamInfo<std::string> &Info) {
       return Info.param;
     });

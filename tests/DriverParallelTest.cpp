@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/MoeStats.h"
 #include "exp/BaselineCache.h"
 #include "exp/Driver.h"
 #include "exp/PolicySet.h"
@@ -128,4 +129,44 @@ TEST(DriverParallelTest, BatchDeduplicatesBaselineCells) {
   EXPECT_EQ(Results[0].get(), Results[1].get());
   EXPECT_EQ(Results[0].get(), Results[2].get());
   EXPECT_EQ(Cache.misses(), 1u); // Duplicates alias within the batch.
+}
+
+namespace {
+
+/// Every count of \p H up to its largest value, in value order.
+std::vector<size_t> countsOf(const Histogram &H) {
+  std::vector<size_t> Counts;
+  for (unsigned V = 0; V <= H.maxValue(); ++V)
+    Counts.push_back(H.count(V));
+  return Counts;
+}
+
+} // namespace
+
+TEST(DriverParallelTest, SharedMixtureStatsMatchAtAnyJobs) {
+  // One MoeStats shared by every mixture instance of a plan, as the
+  // Fig 15a/15b/17 benches share it: at 4 jobs the instances record into
+  // it concurrently, and the totals must still equal the 1-job run's.
+  auto Collect = [](unsigned Jobs) {
+    auto Stats = std::make_shared<core::MoeStats>(4);
+    Driver D(gridOptions(Jobs));
+    D.speedup("cg", PolicySet::instance().mixtureFactory(4, "regime", Stats),
+              Scenario::smallLow());
+    return Stats;
+  };
+  std::shared_ptr<core::MoeStats> Sequential = Collect(1);
+  std::shared_ptr<core::MoeStats> Pooled = Collect(4);
+
+  EXPECT_GT(Sequential->MixtureThreads.total(), 0u);
+  EXPECT_EQ(Sequential->SelectionCounts, Pooled->SelectionCounts);
+  EXPECT_EQ(Sequential->EnvAccurate, Pooled->EnvAccurate);
+  EXPECT_EQ(Sequential->EnvTotal, Pooled->EnvTotal);
+  EXPECT_EQ(Sequential->MixtureEnvAccurate, Pooled->MixtureEnvAccurate);
+  EXPECT_EQ(Sequential->MixtureEnvTotal, Pooled->MixtureEnvTotal);
+  EXPECT_EQ(countsOf(Sequential->MixtureThreads),
+            countsOf(Pooled->MixtureThreads));
+  for (size_t E = 0; E < 4; ++E)
+    EXPECT_EQ(countsOf(Sequential->ExpertThreads[E]),
+              countsOf(Pooled->ExpertThreads[E]))
+        << "expert " << E;
 }

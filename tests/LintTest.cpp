@@ -5,18 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Each rule family is exercised on a known-bad fixture (must fire) and
-/// a known-good one (must stay quiet); the allow-annotation and baseline
-/// escape hatches round-trip; and the CLI's exit-code contract
-/// (0 clean, 1 findings, 2 usage error) is checked end to end against
-/// the real binary.
+/// Each rule family is exercised on a known-bad snippet (must fire) and
+/// a known-good one (must stay quiet); the allow annotation covers its
+/// line, the next one and a multi-line statement; the call-graph link
+/// behind the lock-order rule resolves names across files; and the CLI's
+/// exit-code contract (0 clean, 1 findings, 2 usage error) is checked end
+/// to end against the real binary, with the seeded lock-order tree.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "medley-lint/Lint.h"
+#include "medley-lint/CallGraph.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -355,70 +357,189 @@ TEST(LintAllowTest, DoesNotLeakPastTheNextLine) {
 }
 
 //===----------------------------------------------------------------------===//
-// L6: hotpath-alloc
+// Multi-line allow coverage
 //===----------------------------------------------------------------------===//
 
-TEST(LintHotpathAllocTest, FiresOnValueReturningLinalgCalls) {
-  auto Findings = lintAsSrc("void f(const Vec &A, const Vec &B) {\n"
-                            "  Vec S = add(A, B);\n"
-                            "  Vec D = sub(A, B);\n"
-                            "  Vec H = hadamard(A, scale(B, 2.0));\n"
-                            "  return medley::add(A, B);\n"
+TEST(AllowCoverageTest, AnnotationAboveCoversWholeStatement) {
+  auto Findings = lintAsSrc("bool f(double X, double Y) {\n"
+                            "  // medley-lint: allow(float-equality)\n"
+                            "  bool B = pick(X,\n"
+                            "                Y,\n"
+                            "                X == 1.0);\n"
+                            "  return B;\n"
                             "}\n");
-  size_t Hits = 0;
-  for (const Finding &F : Findings)
-    if (F.Rule == "hotpath-alloc")
-      ++Hits;
-  EXPECT_EQ(Hits, 5u) << rulesOf(Findings);
+  EXPECT_FALSE(hasRule(Findings, "float-equality")) << rulesOf(Findings);
 }
 
-TEST(LintHotpathAllocTest, QuietOnMembersDeclarationsAndKernels) {
-  auto Findings = lintAsSrc(
-      "Vec add(const Vec &A, const Vec &B);\n"       // declaration
-      "void g(Dataset &D, const Vec &X, Vec &Out) {\n"
-      "  D.add(X, 1.0);\n"                           // member call
-      "  Stats->Histogram.add(3);\n"                 // member call
-      "  addInto(X, X, Out);\n"                      // the kernel itself
-      "  std::add(X);\n"                             // foreign namespace
-      "}\n");
-  EXPECT_FALSE(hasRule(Findings, "hotpath-alloc")) << rulesOf(Findings);
-}
-
-TEST(LintHotpathAllocTest, OnlyAppliesToHotPathFiles) {
-  std::string Source = "void f(const Vec &A) { Vec S = add(A, A); }\n";
-  EXPECT_TRUE(hasRule(
-      lintSource("src/core/ExpertSelector.cpp", Source, FileKind::Src),
-      "hotpath-alloc"));
-  EXPECT_TRUE(hasRule(
-      lintSource("src/policy/Features.cpp", Source, FileKind::Src),
-      "hotpath-alloc"));
-  EXPECT_TRUE(hasRule(
-      lintSource("src/sim/Simulation.cpp", Source, FileKind::Src),
-      "hotpath-alloc"));
-  // Off the hot path the value-returning helpers are fine: training code
-  // in src/ml and the linalg library itself are not per-decision.
-  EXPECT_FALSE(hasRule(
-      lintSource("src/ml/LinearModel.cpp", Source, FileKind::Src),
-      "hotpath-alloc"));
-  EXPECT_FALSE(hasRule(
-      lintSource("src/linalg/Vector.cpp", Source, FileKind::Src),
-      "hotpath-alloc"));
-  EXPECT_FALSE(hasRule(
-      lintSource("tests/CoreTest.cpp", Source, FileKind::Tests),
-      "hotpath-alloc"));
-}
-
-TEST(LintHotpathAllocTest, AllowAnnotationSuppresses) {
+TEST(AllowCoverageTest, AnnotationOnFirstStatementLineCoversTheRest) {
   auto Findings =
-      lintAsSrc("void f(const Vec &A) {\n"
-                "  // medley-lint: allow(hotpath-alloc)\n"
-                "  Vec S = add(A, A);\n"
+      lintAsSrc("bool f(double X, double Y) {\n"
+                "  bool B = pick(X, // medley-lint: allow(float-equality)\n"
+                "                Y,\n"
+                "                X == 1.0);\n"
+                "  return B;\n"
                 "}\n");
-  EXPECT_FALSE(hasRule(Findings, "hotpath-alloc")) << rulesOf(Findings);
+  EXPECT_FALSE(hasRule(Findings, "float-equality")) << rulesOf(Findings);
+}
+
+TEST(AllowCoverageTest, WithoutAnnotationTheSameStatementFires) {
+  auto Findings = lintAsSrc("bool f(double X, double Y) {\n"
+                            "  bool B = pick(X,\n"
+                            "                Y,\n"
+                            "                X == 1.0);\n"
+                            "  return B;\n"
+                            "}\n");
+  EXPECT_TRUE(hasRule(Findings, "float-equality"));
+}
+
+TEST(AllowCoverageTest, CoverageEndsAtTheStatementSemicolon) {
+  auto Findings = lintAsSrc("bool f(double X, double Y) {\n"
+                            "  // medley-lint: allow(float-equality)\n"
+                            "  bool B = pick(X,\n"
+                            "                Y);\n"
+                            "  bool C = (X == 1.0);\n"
+                            "  return B && C;\n"
+                            "}\n");
+  EXPECT_TRUE(hasRule(Findings, "float-equality")) << rulesOf(Findings);
 }
 
 //===----------------------------------------------------------------------===//
-// Diagnostics, baseline, JSON
+// Call-graph linking and resolution
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+FileIndex indexSrc(const std::string &Path, const std::string &Source) {
+  return buildFileIndex(Path, Source);
+}
+
+bool hasEdge(const CallGraph &G, const std::string &FromQual,
+             const std::string &ToQual) {
+  auto From = G.ByQual.find(FromQual);
+  auto To = G.ByQual.find(ToQual);
+  if (From == G.ByQual.end() || To == G.ByQual.end())
+    return false;
+  const std::vector<size_t> &Succ = G.Edges[From->second];
+  return std::find(Succ.begin(), Succ.end(), To->second) != Succ.end();
+}
+
+} // namespace
+
+TEST(CallGraphTest, QualifiedNamesFromNamespacesAndClasses) {
+  CallGraph G = linkCallGraph({indexSrc(
+      "src/policy/Features.cpp",
+      "namespace medley::policy {\n"
+      "double helper(double X) { return X * 2.0; }\n"
+      "double buildFeatures(double X) { return helper(X); }\n"
+      "}\n")});
+  ASSERT_TRUE(G.ByQual.count("medley::policy::helper"));
+  ASSERT_TRUE(G.ByQual.count("medley::policy::buildFeatures"));
+  EXPECT_TRUE(
+      hasEdge(G, "medley::policy::buildFeatures", "medley::policy::helper"));
+}
+
+TEST(CallGraphTest, MemberCallResolvesAcrossFiles) {
+  CallGraph G = linkCallGraph(
+      {indexSrc("src/core/Registry.cpp",
+                "class Registry { public: void flush(); };\n"
+                "void Registry::flush() { }\n"),
+       indexSrc("src/core/Tick.cpp",
+                "class Registry;\n"
+                "void tick(Registry &R) { R.flush(); }\n")});
+  EXPECT_TRUE(hasEdge(G, "tick", "Registry::flush"));
+}
+
+TEST(CallGraphTest, QualifiedCallMatchesSuffixOnComponentBoundary) {
+  CallGraph G = linkCallGraph(
+      {indexSrc("src/support/Util.cpp",
+                "namespace medley::util {\n"
+                "double clamp(double X) { return X; }\n"
+                "}\n"),
+       indexSrc("src/core/Use.cpp",
+                "double shape(double X) { return util::clamp(X); }\n")});
+  EXPECT_TRUE(hasEdge(G, "shape", "medley::util::clamp"));
+  // "il::clamp" would NOT match: suffixes bind at '::' boundaries only.
+  CallGraph G2 = linkCallGraph(
+      {indexSrc("src/support/Util.cpp",
+                "namespace medley::util {\n"
+                "double clamp(double X) { return X; }\n"
+                "}\n"),
+       indexSrc("src/core/Use.cpp",
+                "double shape(double X) { return il::clamp(X); }\n")});
+  EXPECT_FALSE(hasEdge(G2, "shape", "medley::util::clamp"));
+}
+
+TEST(CallGraphTest, OverloadsCollapseToOneNode) {
+  CallGraph G = linkCallGraph({indexSrc(
+      "src/core/Blend.cpp",
+      "double blend(double A) { return A; }\n"
+      "double blend(double A, double B) { return A + B; }\n")});
+  size_t BlendNodes = 0;
+  for (const CallGraph::Node &N : G.Nodes)
+    BlendNodes += N.Qual == "blend";
+  EXPECT_EQ(BlendNodes, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// L8: lock-order
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Two files of one class: publish() orders A before B, and drain()
+/// holds \p DrainLock while calling refresh(), defined in the other file,
+/// which takes A.
+std::vector<SourceFile> pipelineTree(const std::string &DrainLock) {
+  return {{"src/core/Pipeline.cpp",
+           "class Pipeline {\n"
+           "  void publish(); void drain(); void refresh();\n"
+           "  std::mutex A; std::mutex B;\n"
+           "};\n"
+           "void Pipeline::publish() {\n"
+           "  std::lock_guard<std::mutex> GA(A);\n"
+           "  std::lock_guard<std::mutex> GB(B);\n"
+           "}\n"
+           "void Pipeline::drain() {\n"
+           "  std::lock_guard<std::mutex> G(" + DrainLock + ");\n"
+           "  refresh();\n"
+           "}\n"},
+          {"src/core/Refresh.cpp",
+           "void Pipeline::refresh() { std::lock_guard<std::mutex> G(A); }\n"}};
+}
+
+} // namespace
+
+TEST(LintLockOrderTest, CycleAcrossFilesFires) {
+  auto Findings = lintTree(pipelineTree("B"));
+  ASSERT_TRUE(hasRule(Findings, "lock-order")) << rulesOf(Findings);
+  EXPECT_EQ(Findings[0].File, "src/core/Pipeline.cpp");
+  EXPECT_NE(Findings[0].Message.find("Pipeline::A -> Pipeline::B"),
+            std::string::npos)
+      << Findings[0].Message;
+}
+
+TEST(LintLockOrderTest, ConsistentOrderStaysQuiet) {
+  EXPECT_FALSE(hasRule(lintTree(pipelineTree("A")), "lock-order"));
+}
+
+TEST(LintLockOrderTest, BlockingCallUnderLockFiresOnlyInSrc) {
+  std::string Source = "void wait(std::mutex &M) {\n"
+                       "  std::lock_guard<std::mutex> G(M);\n"
+                       "  std::this_thread::sleep_for(Delay);\n"
+                       "}\n"
+                       "void waitUnlocked(std::mutex &M) {\n"
+                       "  { std::lock_guard<std::mutex> G(M); }\n"
+                       "  std::this_thread::sleep_for(Delay);\n"
+                       "}\n";
+  auto Findings = lintTree({{"src/support/Wait.cpp", Source}});
+  ASSERT_EQ(Findings.size(), 1u) << rulesOf(Findings);
+  EXPECT_EQ(Findings[0].Rule, "lock-order");
+  EXPECT_EQ(Findings[0].Line, 3u);
+  EXPECT_TRUE(lintTree({{"tests/WaitTest.cpp", Source}}).empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Diagnostics
 //===----------------------------------------------------------------------===//
 
 TEST(LintReportTest, TextFormatIsGccStyle) {
@@ -438,48 +559,6 @@ TEST(LintReportTest, FindingsAreSortedByPosition) {
   EXPECT_LT(Findings[1].Line, Findings[2].Line);
 }
 
-TEST(LintBaselineTest, RoundTripSuppressesExactlyOnce) {
-  std::string Source = "bool f(double X) { return X == 1.0; }\n"
-                       "bool g(double X) { return X == 1.0; }\n";
-  auto Findings = lintAsSrc(Source);
-  ASSERT_EQ(Findings.size(), 2u);
-
-  // A full baseline silences the file...
-  auto Lines = renderBaseline(Findings);
-  EXPECT_TRUE(applyBaseline(Findings, Lines).empty());
-
-  // ...and one entry forgives exactly one of two identical findings.
-  // (Both source lines differ here, so drop one suppression.)
-  Lines.pop_back();
-  EXPECT_EQ(applyBaseline(Findings, Lines).size(), 1u);
-}
-
-TEST(LintBaselineTest, SurvivesLineNumberDrift) {
-  auto Before = lintAsSrc("bool f(double X) { return X == 1.0; }\n");
-  auto Lines = renderBaseline(Before);
-  // The same finding two lines further down still matches: the key is
-  // the source text, not the position.
-  auto After = lintAsSrc("int A;\nint B;\n"
-                         "bool f(double X) { return X == 1.0; }\n");
-  EXPECT_TRUE(applyBaseline(After, Lines).empty());
-}
-
-TEST(LintBaselineTest, CommentsAndBlanksIgnored) {
-  auto Findings = lintAsSrc("bool f(double X) { return X == 1.0; }\n");
-  EXPECT_EQ(applyBaseline(Findings, {"# comment", "", "  "}).size(), 1u);
-}
-
-TEST(LintReportTest, JsonIsStableAndComplete) {
-  auto Findings = lintAsSrc("bool f(double X) { return X == 1.0; }\n"
-                            "int g() { return std::rand(); }\n");
-  std::string Json = renderJson(Findings);
-  EXPECT_EQ(Json, renderJson(Findings)); // deterministic
-  EXPECT_NE(Json.find("\"float-equality\": 1"), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"nondeterminism\": 1"), std::string::npos) << Json;
-  EXPECT_NE(Json.find("\"total\": 2"), std::string::npos) << Json;
-  EXPECT_EQ(renderJson({}).find("\"total\": 0") == std::string::npos, false);
-}
-
 //===----------------------------------------------------------------------===//
 // CLI exit codes (drives the real binary)
 //===----------------------------------------------------------------------===//
@@ -488,11 +567,11 @@ TEST(LintReportTest, JsonIsStableAndComplete) {
 
 namespace {
 
-/// Runs the medley-lint binary and returns its exit status (-1 when the
-/// shell invocation itself failed).
-int runLint(const std::string &Args) {
-  std::string Cmd = std::string(MEDLEY_LINT_BIN) + " " + Args +
-                    " > /dev/null 2> /dev/null";
+/// Runs the medley-lint binary with its report on \p Stdout and returns
+/// its exit status (-1 when the shell invocation itself failed).
+int runLint(const std::string &Args, const std::string &Stdout = "/dev/null") {
+  std::string Cmd = std::string(MEDLEY_LINT_BIN) + " " + Args + " > " +
+                    Stdout + " 2> /dev/null";
   int Status = std::system(Cmd.c_str());
   if (Status == -1 || !WIFEXITED(Status))
     return -1;
@@ -543,42 +622,28 @@ TEST_F(LintCliTest, ExitsTwoOnUsageErrors) {
   EXPECT_EQ(runLint(""), 2);                        // no paths
   EXPECT_EQ(runLint("--frobnicate " + path("src")), 2); // unknown flag
   EXPECT_EQ(runLint(path("no/such/dir")), 2);       // missing path
-  EXPECT_EQ(runLint("--baseline " + path("missing.txt") + " " + path("src")),
-            2); // unreadable baseline
-}
-
-TEST_F(LintCliTest, BaselineRoundTripThroughFiles) {
-  write("src/core/Bad.cpp", "int f() { return std::rand(); }\n");
-  std::string Baseline = path("baseline.txt");
-  // Write the baseline (still exits 1: the findings exist)...
-  EXPECT_EQ(runLint("--write-baseline " + Baseline + " " + path("src")), 1);
-  // ...then a run against it is clean,
-  EXPECT_EQ(runLint("--baseline " + Baseline + " " + path("src")), 0);
-  // and a *new* finding still fails against the old baseline.
-  write("src/core/Worse.cpp", "void g() { srand(7); }\n");
-  EXPECT_EQ(runLint("--baseline " + Baseline + " " + path("src")), 1);
-}
-
-TEST_F(LintCliTest, WritesJsonReport) {
-  write("src/core/Bad.cpp", "int f() { return std::rand(); }\n");
-  std::string Json = path("report.json");
-  EXPECT_EQ(runLint("--json " + Json + " " + path("src")), 1);
-  std::ifstream In(Json);
-  ASSERT_TRUE(In.good());
-  std::string Contents((std::istreambuf_iterator<char>(In)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_NE(Contents.find("\"nondeterminism\""), std::string::npos);
+  EXPECT_EQ(runLint("--root"), 2);                  // --root without a value
 }
 
 TEST_F(LintCliTest, RootStripsPathPrefix) {
   write("src/core/Bad.cpp", "int f() { return std::rand(); }\n");
-  std::string Json = path("report.json");
-  EXPECT_EQ(runLint("--root " + path() + " --json " + Json + " " + path("src")),
-            1);
-  std::ifstream In(Json);
+  std::string Report = path("report.txt");
+  EXPECT_EQ(runLint("--root " + path() + " " + path("src"), Report), 1);
+  std::ifstream In(Report);
   std::string Contents((std::istreambuf_iterator<char>(In)),
                        std::istreambuf_iterator<char>());
-  EXPECT_NE(Contents.find("\"src/core/Bad.cpp\""), std::string::npos)
+  EXPECT_EQ(Contents.rfind("src/core/Bad.cpp:1:", 0), 0u) << Contents;
+}
+
+TEST_F(LintCliTest, LockOrderFixtureFiresForCycleAndBlockingCall) {
+  std::string Root = std::string(MEDLEY_LINT_FIXTURE_DIR) + "/lock-order";
+  std::string Report = path("report.txt");
+  EXPECT_EQ(runLint("--root " + Root + " " + Root + "/src", Report), 1);
+  std::ifstream In(Report);
+  std::string Contents((std::istreambuf_iterator<char>(In)),
+                       std::istreambuf_iterator<char>());
+  EXPECT_NE(Contents.find("lock-order cycle"), std::string::npos) << Contents;
+  EXPECT_NE(Contents.find("held across blocking call"), std::string::npos)
       << Contents;
 }
 

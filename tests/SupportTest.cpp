@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Arena.h"
 #include "support/Csv.h"
 #include "support/Error.h"
 #include "support/FaultStats.h"
@@ -642,56 +641,4 @@ TEST(FaultStatsTest, MergeAddsEveryCounter) {
   EXPECT_EQ(A.CellRetries, 7u);
   EXPECT_EQ(A.CellFailures, 4u);
   EXPECT_FALSE(A.clean());
-}
-
-//===----------------------------------------------------------------------===//
-// Arena
-//===----------------------------------------------------------------------===//
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  support::Arena A(/*ChunkBytes=*/128);
-  double *D = A.allocateArray<double>(3);
-  uint32_t *U = A.allocateArray<uint32_t>(5);
-  ASSERT_NE(D, nullptr);
-  ASSERT_NE(U, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(D) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(U) % alignof(uint32_t), 0u);
-  // Writing one region must not disturb the other.
-  for (int I = 0; I < 3; ++I)
-    D[I] = 1.5 * I;
-  for (int I = 0; I < 5; ++I)
-    U[I] = 100u + static_cast<uint32_t>(I);
-  EXPECT_EQ(D[2], 3.0);
-  EXPECT_EQ(U[4], 104u);
-}
-
-TEST(ArenaTest, ResetRetainsCapacityAndReusesMemory) {
-  support::Arena A(/*ChunkBytes=*/64);
-  // Overflow the first chunk so the arena grows.
-  for (int I = 0; I < 32; ++I)
-    A.allocateArray<double>(4);
-  size_t Grown = A.capacity();
-  EXPECT_GT(Grown, size_t(64));
-  A.reset();
-  EXPECT_EQ(A.used(), 0u);
-  EXPECT_EQ(A.capacity(), Grown);
-  // A steady-state cycle (same demand every tick) allocates no new chunks.
-  size_t Chunks = A.numChunks();
-  for (int Tick = 0; Tick < 10; ++Tick) {
-    A.reset();
-    for (int I = 0; I < 32; ++I)
-      A.allocateArray<double>(4);
-  }
-  EXPECT_EQ(A.numChunks(), Chunks);
-  EXPECT_EQ(A.capacity(), Grown);
-}
-
-TEST(ArenaTest, OversizedRequestGetsItsOwnChunk) {
-  support::Arena A(/*ChunkBytes=*/32);
-  // Far larger than the chunk size: must still succeed and be usable.
-  uint8_t *P = A.allocateArray<uint8_t>(4096);
-  ASSERT_NE(P, nullptr);
-  P[0] = 1;
-  P[4095] = 2;
-  EXPECT_GE(A.capacity(), size_t(4096));
 }

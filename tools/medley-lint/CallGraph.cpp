@@ -5,44 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "medley-lint/CallGraph.h"
-#include "medley-lint/Internal.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 using namespace medley::lint;
 
 namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 /// True when \p Qual ends with the written suffix \p Qualifier::Name on
 /// a component boundary: `linalg::add` matches `medley::linalg::add`.
@@ -69,87 +37,45 @@ bool CallGraph::allowedAt(size_t FileId, unsigned Line,
          (It->second.count(Rule) || It->second.count("all"));
 }
 
-CallGraph medley::lint::linkCallGraph(const std::vector<FileIndex> &Indexes) {
+CallGraph medley::lint::linkCallGraph(std::vector<FileIndex> Indexes) {
   CallGraph G;
-
-  // Deterministic merge regardless of how phase 1 was scheduled.
-  std::vector<const FileIndex *> Sorted;
-  Sorted.reserve(Indexes.size());
-  for (const FileIndex &Ix : Indexes)
-    Sorted.push_back(&Ix);
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const FileIndex *A, const FileIndex *B) {
-              return A->Path < B->Path;
+  // Deterministic merge regardless of the order the files came in. The
+  // indexes are ours, so their sites move into the nodes.
+  std::sort(Indexes.begin(), Indexes.end(),
+            [](const FileIndex &A, const FileIndex &B) {
+              return A.Path < B.Path;
             });
-
-  for (const FileIndex *Ix : Sorted) {
+  for (FileIndex &Ix : Indexes) {
     size_t FileId = G.Files.size();
-    G.Files.push_back({Ix->Path, Ix->Kind, Ix->AllowLines});
-    for (const FunctionInfo &Fn : Ix->Functions) {
+    G.Files.push_back({Ix.Path, std::move(Ix.AllowLines)});
+    for (FunctionInfo &Fn : Ix.Functions) {
       auto It = G.ByQual.find(Fn.Qual);
       if (It == G.ByQual.end()) {
         CallGraph::Node N;
         N.Qual = Fn.Qual;
         N.Name = Fn.Name;
         N.Class = Fn.Class;
-        N.FileId = FileId;
-        N.Line = Fn.Line;
-        N.Col = Fn.Col;
-        N.LineText = Fn.LineText;
         It = G.ByQual.emplace(Fn.Qual, G.Nodes.size()).first;
         G.Nodes.push_back(std::move(N));
       }
       CallGraph::Node &N = G.Nodes[It->second];
-      N.HasSource |= Fn.HasSource;
-      N.IsThreadBody |= Fn.IsThreadBody;
-      for (const CallSite &C : Fn.Calls)
-        N.Calls.emplace_back(C, FileId);
-      for (const AllocSite &A : Fn.Allocs)
-        N.Allocs.emplace_back(A, FileId);
-      for (const LockAcq &Q : Fn.Acquires)
-        N.Acquires.emplace_back(Q, FileId);
-      for (const LockEdge &E : Fn.LockEdges)
-        N.LockEdges.emplace_back(E, FileId);
-      for (const TaintFlow &F : Fn.Flows)
-        N.Flows.push_back(F);
-      for (const SinkUse &S : Fn.Sinks)
-        N.Sinks.emplace_back(S, FileId);
-      for (const UnguardedWrite &W : Fn.Writes)
-        N.Writes.emplace_back(W, FileId);
-      for (const RetentionSite &R : Fn.Retentions)
-        N.Retentions.emplace_back(R, FileId);
-      N.FlowCalls.insert(N.FlowCalls.end(), Fn.FlowCalls.begin(),
-                         Fn.FlowCalls.end());
-      N.ResetArenas.insert(N.ResetArenas.end(), Fn.ResetArenas.begin(),
-                           Fn.ResetArenas.end());
-      N.SpawnedBodies.insert(N.SpawnedBodies.end(), Fn.SpawnedBodies.begin(),
-                             Fn.SpawnedBodies.end());
-    }
-    for (const FieldDecl &FD : Ix->Fields) {
-      auto Key = std::make_pair(FD.Class, FD.Name);
-      auto It = G.Fields.find(Key);
-      if (It == G.Fields.end()) {
-        G.Fields.emplace(Key, FD);
-      } else {
-        It->second.Atomic |= FD.Atomic;
-        It->second.Mutex |= FD.Mutex;
-      }
+      for (CallSite &C : Fn.Calls)
+        N.Calls.emplace_back(std::move(C), FileId);
+      for (std::string &Q : Fn.Acquires)
+        N.Acquires.push_back(std::move(Q));
+      for (LockEdge &E : Fn.LockEdges)
+        N.LockEdges.emplace_back(std::move(E), FileId);
+      for (std::string &Body : Fn.SpawnedBodies)
+        N.SpawnedBodies.push_back(std::move(Body));
     }
   }
 
   // Sort nodes by qualified name and rebuild the id maps so the graph
   // shape is independent of file order too.
-  std::vector<size_t> Order(G.Nodes.size());
-  for (size_t I = 0; I < Order.size(); ++I)
-    Order[I] = I;
-  std::sort(Order.begin(), Order.end(), [&G](size_t A, size_t B) {
-    return G.Nodes[A].Qual < G.Nodes[B].Qual;
-  });
-  std::vector<CallGraph::Node> SortedNodes;
-  SortedNodes.reserve(G.Nodes.size());
-  for (size_t Id : Order)
-    SortedNodes.push_back(std::move(G.Nodes[Id]));
-  G.Nodes = std::move(SortedNodes);
+  std::sort(G.Nodes.begin(), G.Nodes.end(),
+            [](const CallGraph::Node &A, const CallGraph::Node &B) {
+              return A.Qual < B.Qual;
+            });
   G.ByQual.clear();
   for (size_t I = 0; I < G.Nodes.size(); ++I) {
     G.ByQual.emplace(G.Nodes[I].Qual, I);
@@ -201,25 +127,4 @@ std::vector<size_t> medley::lint::resolveCall(const CallGraph &G,
   }
   std::sort(Out.begin(), Out.end());
   return Out;
-}
-
-std::string medley::lint::renderGraphJson(const CallGraph &G) {
-  std::ostringstream OS;
-  OS << "{\n  \"functions\": [";
-  for (size_t I = 0; I < G.Nodes.size(); ++I) {
-    const CallGraph::Node &N = G.Nodes[I];
-    OS << (I ? ",\n" : "\n");
-    OS << "    {\"qual\": \"" << jsonEscape(N.Qual) << "\", \"file\": \""
-       << jsonEscape(G.Files[N.FileId].Path) << "\", \"line\": " << N.Line
-       << ", \"allocs\": " << N.Allocs.size() << ", \"has_source\": "
-       << (N.HasSource ? "true" : "false") << ", \"calls\": [";
-    for (size_t J = 0; J < G.Edges[I].size(); ++J)
-      OS << (J ? ", " : "") << "\"" << jsonEscape(G.Nodes[G.Edges[I][J]].Qual)
-         << "\"";
-    OS << "]}";
-  }
-  OS << (G.Nodes.empty() ? "],\n" : "\n  ],\n");
-  OS << "  \"files\": " << G.Files.size() << ",\n  \"nodes\": "
-     << G.Nodes.size() << "\n}\n";
-  return OS.str();
 }

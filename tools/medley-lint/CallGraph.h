@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Phase 2 linking (DESIGN.md §12): per-file FileIndexes merge into one
-/// whole-project call graph. Nodes are qualified names without
-/// signatures — overloads collapse onto one node, which over-
-/// approximates reachability in exactly the direction the analyses
-/// want. Call resolution is name-based:
+/// The link behind the lock-order rule (L8, DESIGN.md §12): per-file
+/// FileIndexes merge into one whole-project call graph. Nodes are
+/// qualified names without signatures — overloads collapse onto one
+/// node, which over-approximates reachability in exactly the direction
+/// the rule wants. Call resolution is name-based:
 ///
 ///   - `obj.f(...)` resolves to every method named `f` (a cheap stand-in
 ///     for virtual dispatch);
@@ -18,9 +18,8 @@
 ///   - a bare `f(...)` resolves to same-named methods of the caller's
 ///     own class plus every free function named `f`.
 ///
-/// Linking is deterministic: indexes are processed in sorted path
-/// order and nodes are sorted by qualified name, so the graph (and
-/// `--graph-json`) is byte-identical at any `--jobs`.
+/// Linking is deterministic: indexes are processed in sorted path order
+/// and nodes are sorted by qualified name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,10 +33,9 @@ namespace medley::lint {
 /// The linked whole-project graph.
 struct CallGraph {
   /// One source file contributing definitions, with its allow coverage
-  /// so phase-2 findings honour annotations without re-reading sources.
+  /// so linked findings honour annotations without re-reading sources.
   struct FileRef {
     std::string Path;
-    FileKind Kind = FileKind::Other;
     std::map<unsigned, std::set<std::string>> AllowLines;
   };
 
@@ -47,25 +45,9 @@ struct CallGraph {
     std::string Qual;
     std::string Name;
     std::string Class;
-    size_t FileId = 0; ///< First defining file (sorted order).
-    unsigned Line = 0;
-    unsigned Col = 0;
-    std::string LineText;
-    bool HasSource = false;
-    /// True when this node is a lambda body handed to a thread-spawning
-    /// call — an L10 root.
-    bool IsThreadBody = false;
     std::vector<std::pair<CallSite, size_t>> Calls;
-    std::vector<std::pair<AllocSite, size_t>> Allocs;
-    std::vector<std::pair<LockAcq, size_t>> Acquires;
+    std::vector<std::string> Acquires;
     std::vector<std::pair<LockEdge, size_t>> LockEdges;
-    std::vector<TaintFlow> Flows;
-    std::vector<std::pair<SinkUse, size_t>> Sinks;
-    // Flow-sensitive summaries (DESIGN.md §15).
-    std::vector<std::pair<UnguardedWrite, size_t>> Writes;
-    std::vector<std::pair<RetentionSite, size_t>> Retentions;
-    std::vector<FlowCall> FlowCalls;
-    std::vector<std::string> ResetArenas;
     std::vector<std::string> SpawnedBodies; ///< Quals of spawned lambdas.
   };
 
@@ -76,10 +58,6 @@ struct CallGraph {
   /// Union of resolved callees per node, sorted and de-duplicated.
   /// Includes explicit parent → spawned-lambda edges.
   std::vector<std::vector<size_t>> Edges;
-  /// Declared fields and namespace-scope globals, merged across files:
-  /// (class-or-empty, name) → declaration with atomicity ORed over every
-  /// sighting, so one atomic declaration anywhere wins.
-  std::map<std::pair<std::string, std::string>, FieldDecl> Fields;
 
   /// True when rules named in an allow annotation cover \p Line of
   /// \p FileId ("all" counts).
@@ -87,18 +65,12 @@ struct CallGraph {
 };
 
 /// Links \p Indexes (any order; sorted internally by path) into a graph.
-CallGraph linkCallGraph(const std::vector<FileIndex> &Indexes);
+CallGraph linkCallGraph(std::vector<FileIndex> Indexes);
 
 /// Node ids a single call site can reach, sorted. Implements the
 /// resolution rules above.
 std::vector<size_t> resolveCall(const CallGraph &G, const CallGraph::Node &From,
                                 const CallSite &CS);
-
-/// The graph as pretty-printed JSON for external tooling: nodes sorted
-/// by qualified name with their defining file, direct allocation-site
-/// count, entropy-source flag, and resolved callee list. Stable across
-/// runs and `--jobs` values.
-std::string renderGraphJson(const CallGraph &G);
 
 } // namespace medley::lint
 

@@ -1,4 +1,4 @@
-//===-- tools/medley-lint/Index.cpp - Per-file symbol indexer ------------===//
+//===-- tools/medley-lint/Index.cpp - Per-file lock index ----------------===//
 //
 // Part of Medley, a reproduction of "Celebrating Diversity" (PLDI 2015).
 //
@@ -7,21 +7,17 @@
 /// \file
 /// Heuristic single-pass C++ reader producing the FileIndex: a scope
 /// walk (namespaces, classes) that recognizes function definitions, and
-/// per body a linear scan for call/allocation/lock sites plus a
-/// statement-level pass for the taint flows. No AST, no preprocessor:
-/// what the token stream cannot express (templated call names, macro
-/// expansion) is under-approximated, never guessed.
+/// per body a linear scan for call and lock sites. No AST, no
+/// preprocessor: what the token stream cannot express (templated call
+/// names, macro expansion) is under-approximated, never guessed.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "medley-lint/Cfg.h"
-#include "medley-lint/Dataflow.h"
 #include "medley-lint/Index.h"
 #include "medley-lint/Internal.h"
 
 #include <algorithm>
 #include <array>
-#include <sstream>
 
 using namespace medley::lint;
 
@@ -31,10 +27,6 @@ using Tokens = std::vector<Token>;
 
 bool punctIs(const Tokens &T, size_t I, const char *Text) {
   return I < T.size() && T[I].K == Token::Punct && T[I].Text == Text;
-}
-
-bool identIs(const Tokens &T, size_t I, const char *Text) {
-  return I < T.size() && T[I].K == Token::Ident && T[I].Text == Text;
 }
 
 template <size_t N>
@@ -71,47 +63,8 @@ bool isGuardType(const std::string &S) {
   return oneOf(S, G);
 }
 
-bool isGrowthMember(const std::string &S) {
-  static const std::array<const char *, 7> G = {
-      "push_back", "emplace_back", "insert",       "emplace",
-      "append",    "push_front",   "emplace_front"};
-  return oneOf(S, G);
-}
-
-bool isAllocCall(const std::string &S) {
-  static const std::array<const char *, 8> A = {
-      "malloc",      "calloc",      "realloc",  "strdup",
-      "aligned_alloc", "make_unique", "make_shared", "to_string"};
-  return oneOf(S, A);
-}
-
-bool isLinalgValueCall(const std::string &S) {
-  static const std::array<const char *, 4> L = {"add", "sub", "scale",
-                                                "hadamard"};
-  return oneOf(S, L);
-}
-
-bool isClockName(const std::string &S) {
-  return S == "system_clock" || S == "steady_clock" ||
-         S == "high_resolution_clock";
-}
-
-bool isEntropyCallName(const std::string &S) {
-  return S == "rand" || S == "srand" || S == "time" || S == "clock" ||
-         S == "getenv";
-}
-
-/// Sinks the taint analysis watches: RNG (re)seeding and engine
-/// construction. Stream/trace output is detected structurally.
-bool isSeedSink(const std::string &S) {
-  static const std::array<const char *, 7> K = {
-      "seed",        "srand",       "mt19937", "mt19937_64",
-      "minstd_rand", "default_random_engine", "Rng"};
-  return oneOf(S, K);
-}
-
 /// Calls that move a lambda argument onto another thread: the lambda's
-/// body becomes a synthetic IsThreadBody function node (DESIGN.md §15).
+/// body becomes a function node of its own that starts with no lock held.
 bool isSpawnCall(const std::string &S) {
   static const std::array<const char *, 5> K = {
       "parallelFor", "submit", "async", "thread", "emplace_back"};
@@ -121,9 +74,7 @@ bool isSpawnCall(const std::string &S) {
 /// The indexer proper: one instance per file.
 class Indexer {
 public:
-  Indexer(const Tokens &Toks, const std::vector<std::string> &Lines,
-          FileIndex &Out)
-      : T(Toks), Lines(Lines), Out(Out) {}
+  Indexer(const Tokens &Toks, FileIndex &Out) : T(Toks), Out(Out) {}
 
   void run() {
     std::vector<std::string> Ns, Cls;
@@ -132,11 +83,10 @@ public:
 
 private:
   const Tokens &T;
-  const std::vector<std::string> &Lines;
   FileIndex &Out;
   /// Token ranges of task lambdas extracted from the function currently
-  /// being finished; the linear passes skip them so their events are
-  /// attributed to the synthetic lambda node, not the spawner.
+  /// being scanned; the body scan skips them so their events are
+  /// attributed to the lambda's own node, not the spawner.
   std::vector<std::pair<size_t, size_t>> CurSkips;
 
   bool skipAt(size_t I, size_t &End) const {
@@ -146,12 +96,6 @@ private:
         return true;
       }
     return false;
-  }
-
-  std::string lineText(unsigned Line) const {
-    if (Line >= 1 && Line <= Lines.size())
-      return trim(Lines[Line - 1]);
-    return "";
   }
 
   //===--------------------------------------------------------------------===//
@@ -201,128 +145,8 @@ private:
         I = Next;
         continue;
       }
-      if (tryFieldDecl(I, E, Cls.empty() ? "" : Cls.back(), Next)) {
-        I = Next;
-        continue;
-      }
       ++I;
     }
-  }
-
-  /// Instance-field / global variable declarations at class or
-  /// namespace scope: `std::atomic<uint64_t> Epoch{0};`,
-  /// `support::FaultStats *Stats = nullptr;`, `std::mutex Mu;`.
-  /// Consumes the statement on success (a field may or may not be
-  /// recorded); returns false for anything that is not clearly a
-  /// variable declaration, leaving the scan untouched.
-  bool tryFieldDecl(size_t I, size_t E, const std::string &Class,
-                    size_t &Next) {
-    if (T[I].K != Token::Ident)
-      return false;
-    const std::string &First = T[I].Text;
-    if ((First == "public" || First == "private" || First == "protected") &&
-        punctIs(T, I + 1, ":")) {
-      Next = I + 2;
-      return true;
-    }
-    if (isControlKw(First) || First == "operator" || First == "friend" ||
-        First == "extern" || First == "virtual" || First == "explicit")
-      return false;
-
-    size_t J = I;
-    size_t LastIdent = 0;
-    size_t NamePos = 0;
-    bool Ended = false;
-    while (J < E && !Ended) {
-      const Token &K = T[J];
-      if (K.K == Token::Ident) {
-        LastIdent = J;
-        if (punctIs(T, J + 1, "<")) {
-          size_t Skip = skipTemplateArgs(T, J + 1);
-          if (Skip > J + 2) {
-            J = Skip;
-            continue;
-          }
-        }
-        ++J;
-        continue;
-      }
-      if (K.K != Token::Punct)
-        return false;
-      const std::string &P = K.Text;
-      if (P == "(")
-        return false; // function declaration/definition or expression
-      if (P == "[") {
-        J = skipBalanced(T, J, "[", "]"); // array extent
-        continue;
-      }
-      if (P == "{") {
-        // Brace init directly after the declarator name.
-        if (!LastIdent || J != LastIdent + 1)
-          return false;
-        NamePos = LastIdent;
-        J = skipBalanced(T, J, "{", "}");
-        continue;
-      }
-      if (P == "=") {
-        if (!LastIdent)
-          return false;
-        NamePos = LastIdent;
-        // Initializer: consume to the top-level ';'.
-        int D = 0;
-        while (J < E) {
-          if (T[J].K == Token::Punct) {
-            const std::string &Q = T[J].Text;
-            if (Q == "(" || Q == "[" || Q == "{")
-              ++D;
-            else if (Q == ")" || Q == "]" || Q == "}")
-              --D;
-            else if (Q == ";" && D == 0)
-              break;
-          }
-          ++J;
-        }
-        Ended = true;
-        break;
-      }
-      if (P == ";") {
-        if (!NamePos)
-          NamePos = LastIdent;
-        Ended = true;
-        break;
-      }
-      if (P == "::" || P == "*" || P == "&" || P == ",") {
-        ++J;
-        continue;
-      }
-      return false;
-    }
-    if (!Ended || !NamePos || NamePos <= I)
-      return false;
-    Next = J + 1;
-
-    bool Atomic = false, Mutex = false, Skip = false;
-    for (size_t K = I; K < NamePos; ++K) {
-      if (T[K].K != Token::Ident)
-        continue;
-      const std::string &Ty = T[K].Text;
-      if (Ty == "atomic" || Ty.rfind("atomic_", 0) == 0)
-        Atomic = true;
-      else if (Ty.find("mutex") != std::string::npos ||
-               Ty == "condition_variable" || Ty == "once_flag")
-        Mutex = true;
-      else if (Ty == "constexpr" || Ty == "thread_local")
-        Skip = true; // compile-time or thread-private — never shared
-    }
-    if (!Skip) {
-      FieldDecl FD;
-      FD.Class = Class;
-      FD.Name = T[NamePos].Text;
-      FD.Atomic = Atomic;
-      FD.Mutex = Mutex;
-      Out.Fields.push_back(std::move(FD));
-    }
-    return true;
   }
 
   size_t parseNamespace(size_t I, size_t E, std::vector<std::string> &Ns,
@@ -445,14 +269,8 @@ private:
           Append(Q);
         Append(Fn.Name);
         Fn.Qual = Qual;
-        Fn.Line = T[I].Line;
-        Fn.Col = T[I].Col;
-        Fn.LineText = lineText(Fn.Line);
-        size_t BodyB = J + 1, BodyE = BodyEnd > 0 ? BodyEnd - 1 : BodyEnd;
-        finishFunction(std::move(Fn), I + 2, AfterParams > I + 2
-                                                 ? AfterParams - 1
-                                                 : I + 2,
-                       BodyB, BodyE, {}, 0);
+        finishFunction(std::move(Fn), J + 1,
+                       BodyEnd > 0 ? BodyEnd - 1 : BodyEnd, 0);
         Next = BodyEnd;
         return true;
       }
@@ -475,21 +293,18 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Function finishing: linear passes, CFG, spawned task lambdas
+  // Spawned task lambdas
   //===--------------------------------------------------------------------===//
 
   /// A lambda argument of a spawn call inside a function body.
   struct LambdaSpec {
-    size_t Begin = 0, End = 0;     ///< Full `[..](..){..}` token range.
-    size_t ParamB = 0, ParamE = 0; ///< Parameter range (inside parens).
-    size_t BodyB = 0, BodyE = 0;   ///< Body range (inside braces).
+    size_t Begin = 0, End = 0;   ///< Full `[..](..){..}` token range.
+    size_t BodyB = 0, BodyE = 0; ///< Body range (inside braces).
     unsigned Line = 0, Col = 0;
-    /// By-value and init captures: copies owned by the task.
-    std::vector<std::string> ValueCaptures;
   };
 
   /// Finds lambdas passed to ThreadPool-style spawn calls inside
-  /// [B, E). Each becomes a synthetic IsThreadBody function.
+  /// [B, E). Each becomes a function of its own.
   void findSpawnLambdas(size_t B, size_t E, std::vector<LambdaSpec> &Specs) {
     for (size_t I = B; I < E; ++I) {
       if (T[I].K != Token::Ident || !isSpawnCall(T[I].Text) ||
@@ -514,33 +329,9 @@ private:
     size_t CapEnd = skipBalanced(T, LB, "[", "]"); // one past ']'
     if (CapEnd >= E)
       return false;
-    // Captures: by-value and init captures become task-local names.
-    {
-      std::vector<std::string> Parts;
-      size_t PartB = LB + 1;
-      int D = 0;
-      for (size_t K = LB + 1; K + 1 < CapEnd; ++K) {
-        if (T[K].K != Token::Punct)
-          continue;
-        const std::string &P = T[K].Text;
-        if (P == "(" || P == "[" || P == "{")
-          ++D;
-        else if (P == ")" || P == "]" || P == "}")
-          --D;
-        else if (P == "," && D == 0) {
-          capturedName(PartB, K, L.ValueCaptures);
-          PartB = K + 1;
-        }
-      }
-      capturedName(PartB, CapEnd > 0 ? CapEnd - 1 : CapEnd, L.ValueCaptures);
-    }
     size_t P = CapEnd;
-    if (punctIs(T, P, "(")) {
-      size_t PEnd = skipBalanced(T, P, "(", ")");
-      L.ParamB = P + 1;
-      L.ParamE = PEnd > P + 1 ? PEnd - 1 : P + 1;
-      P = PEnd;
-    }
+    if (punctIs(T, P, "("))
+      P = skipBalanced(T, P, "(", ")");
     while (P < E && !punctIs(T, P, "{")) {
       if (punctIs(T, P, ";") || punctIs(T, P, ")") || punctIs(T, P, ","))
         return false;
@@ -558,71 +349,35 @@ private:
     return true;
   }
 
-  /// One capture-list entry: `X` and `X = expr` copy into the closure
-  /// (task-local); `&X`, `this`, and bare defaults do not bind a
-  /// task-owned name.
-  void capturedName(size_t B, size_t E, std::vector<std::string> &Out) const {
-    if (B >= E)
-      return;
-    if (T[B].K != Token::Ident || T[B].Text == "this")
-      return; // '&', '=', '*this', or a ref capture
-    if (E > B + 1 && !punctIs(T, B + 1, "="))
-      return; // not a simple or init capture
-    Out.push_back(T[B].Text);
-  }
-
-  /// Runs every per-function pass over one body: the linear call/lock/
-  /// flow scans (skipping extracted task lambdas), then the CFG build
-  /// and dataflow summaries, then recursion into each task lambda as a
-  /// synthetic IsThreadBody function.
-  void finishFunction(FunctionInfo Fn, size_t ParamB, size_t ParamE,
-                      size_t BodyB, size_t BodyE,
-                      std::vector<std::string> ExtraLocals, int Depth) {
+  /// Scans one body for calls and locks, skipping the task lambdas it
+  /// spawns, then indexes each of those lambdas as a function of its own.
+  void finishFunction(FunctionInfo Fn, size_t BodyB, size_t BodyE,
+                      int Depth) {
     std::vector<LambdaSpec> Lambdas;
     if (Depth < 4)
       findSpawnLambdas(BodyB, BodyE, Lambdas);
 
-    std::vector<std::pair<size_t, size_t>> Skips;
-    Skips.reserve(Lambdas.size());
+    std::vector<std::pair<size_t, size_t>> SavedSkips = std::move(CurSkips);
+    CurSkips.clear();
     for (const LambdaSpec &L : Lambdas)
-      Skips.push_back({L.Begin, L.End});
-
-    std::vector<std::pair<size_t, size_t>> SavedSkips = CurSkips;
-    CurSkips = Skips;
+      CurSkips.push_back({L.Begin, L.End});
     parseBody(BodyB, BodyE, Fn);
-    parseFlows(BodyB, BodyE, Fn);
-
-    CfgBuildContext Ctx;
-    Ctx.Toks = &T;
-    Ctx.Lines = &Lines;
-    Ctx.ClassName = Fn.Class;
-    Ctx.SeedLocals = collectParamNames(T, ParamB, ParamE);
-    for (std::string &L : ExtraLocals)
-      Ctx.SeedLocals.push_back(std::move(L));
-    Ctx.SkipRanges = Skips;
-    FunctionCfg Cfg = buildFunctionCfg(BodyB, BodyE, Ctx);
-    computeFlowSummaries(Cfg, Fn);
     CurSkips = std::move(SavedSkips);
 
-    for (LambdaSpec &L : Lambdas) {
+    for (const LambdaSpec &L : Lambdas) {
       FunctionInfo LFn;
       LFn.Name = "<lambda:" + std::to_string(L.Line) + ":" +
                  std::to_string(L.Col) + ">";
       LFn.Qual = Fn.Qual + "::" + LFn.Name;
       LFn.Class = Fn.Class;
-      LFn.Line = L.Line;
-      LFn.Col = L.Col;
-      LFn.LineText = lineText(L.Line);
-      LFn.IsThreadBody = true;
       Fn.SpawnedBodies.push_back(LFn.Qual);
-      finishFunction(std::move(LFn), L.ParamB, L.ParamE, L.BodyB, L.BodyE,
-                     std::move(L.ValueCaptures), Depth + 1);
+      finishFunction(std::move(LFn), L.BodyB, L.BodyE, Depth + 1);
     }
     Out.Functions.push_back(std::move(Fn));
   }
 
   //===--------------------------------------------------------------------===//
-  // Body scan: calls, allocations, locks
+  // Body scan: calls and locks
   //===--------------------------------------------------------------------===//
 
   /// `A.B->C` receiver chain ending just before the '.'/'->' at \p DotPos.
@@ -671,8 +426,8 @@ private:
                std::vector<HeldLock> &Held, FunctionInfo &Fn) {
     for (const HeldLock &H : Held)
       if (H.Name != Id)
-        Fn.LockEdges.push_back({H.Name, Id, Line, lineText(Line)});
-    Fn.Acquires.push_back({Id, Line});
+        Fn.LockEdges.push_back({H.Name, Id, Line});
+    Fn.Acquires.push_back(Id);
     Held.push_back({Id, Depth, Manual});
   }
 
@@ -738,16 +493,6 @@ private:
         continue;
       const std::string &Name = Tok.Text;
 
-      if (Name == "new") {
-        Fn.Allocs.push_back(
-            {"'new' expression", Tok.Line, Tok.Col, lineText(Tok.Line)});
-        continue;
-      }
-      if (Name == "random_device" || (isClockName(Name) &&
-                                      punctIs(T, I + 1, "::") &&
-                                      identIs(T, I + 2, "now")))
-        Fn.HasSource = true;
-
       bool PrevDotArrow = I > B && T[I - 1].K == Token::Punct &&
                           (T[I - 1].Text == "." || T[I - 1].Text == "->");
 
@@ -797,17 +542,12 @@ private:
           I += 2;
           continue;
         }
-        if (isGrowthMember(Name))
-          Fn.Allocs.push_back({"container growth '" + Name + "'", Tok.Line,
-                               Tok.Col, lineText(Tok.Line)});
         CallSite CS;
         CS.Name = Name;
         CS.IsMember = true;
         CS.Line = Tok.Line;
         CS.Col = Tok.Col;
         CS.HeldLocks = heldNames();
-        if (!CS.HeldLocks.empty())
-          CS.LineText = lineText(Tok.Line);
         Fn.Calls.push_back(std::move(CS));
         continue;
       }
@@ -830,649 +570,28 @@ private:
           if (Prev.K == Token::Number || Prev.K == Token::String)
             continue;
         }
-        if (isEntropyCallName(Name) &&
-            (Qualifier.empty() || Qualifier == "std"))
-          Fn.HasSource = true;
-        if (isAllocCall(Name) && (Qualifier.empty() || Qualifier == "std"))
-          Fn.Allocs.push_back({"heap allocation '" + Name + "'", Tok.Line,
-                               Tok.Col, lineText(Tok.Line)});
-        else if (isLinalgValueCall(Name) &&
-                 (Qualifier.empty() || Qualifier.rfind("medley", 0) == 0))
-          Fn.Allocs.push_back({"value-returning linalg '" + Name + "'",
-                               Tok.Line, Tok.Col, lineText(Tok.Line)});
         CallSite CS;
         CS.Name = Name;
         CS.Qualifier = Qualifier;
         CS.Line = Tok.Line;
         CS.Col = Tok.Col;
         CS.HeldLocks = heldNames();
-        if (!CS.HeldLocks.empty())
-          CS.LineText = lineText(Tok.Line);
         Fn.Calls.push_back(std::move(CS));
         continue;
       }
     }
   }
-
-  //===--------------------------------------------------------------------===//
-  // Statement pass: taint flows & sinks
-  //===--------------------------------------------------------------------===//
-
-  struct RhsInfo {
-    std::vector<std::string> Vars;
-    std::vector<std::string> Calls;
-    bool HasSource = false;
-  };
-
-  RhsInfo scanRhs(size_t B, size_t E) const {
-    RhsInfo Info;
-    for (size_t I = B; I < E; ++I) {
-      size_t SkipEnd = 0;
-      if (skipAt(I, SkipEnd)) {
-        I = SkipEnd - 1;
-        continue;
-      }
-      const Token &Tok = T[I];
-      if (Tok.K != Token::Ident)
-        continue;
-      const std::string &Name = Tok.Text;
-      bool Member = I > B && T[I - 1].K == Token::Punct &&
-                    (T[I - 1].Text == "." || T[I - 1].Text == "->");
-      if (Name == "random_device" && !Member) {
-        Info.HasSource = true;
-        continue;
-      }
-      if (isClockName(Name) && punctIs(T, I + 1, "::") &&
-          identIs(T, I + 2, "now")) {
-        Info.HasSource = true;
-        I += 2;
-        continue;
-      }
-      if (punctIs(T, I + 1, "(")) {
-        if (isControlKw(Name))
-          continue;
-        if (!Member && isEntropyCallName(Name)) {
-          Info.HasSource = true;
-          continue;
-        }
-        Info.Calls.push_back(Name);
-        continue;
-      }
-      if (Member || punctIs(T, I + 1, "::"))
-        continue; // field access or namespace qualifier
-      if (Name == "true" || Name == "false" || Name == "nullptr" ||
-          Name == "const" || Name == "auto" || isControlKw(Name))
-        continue;
-      Info.Vars.push_back(Name);
-    }
-    std::sort(Info.Vars.begin(), Info.Vars.end());
-    Info.Vars.erase(std::unique(Info.Vars.begin(), Info.Vars.end()),
-                    Info.Vars.end());
-    std::sort(Info.Calls.begin(), Info.Calls.end());
-    Info.Calls.erase(std::unique(Info.Calls.begin(), Info.Calls.end()),
-                     Info.Calls.end());
-    return Info;
-  }
-
-  void processStatement(size_t B, size_t E, FunctionInfo &Fn) {
-    if (B >= E)
-      return;
-
-    if (identIs(T, B, "return")) {
-      RhsInfo Info = scanRhs(B + 1, E);
-      if (Info.HasSource || !Info.Vars.empty() || !Info.Calls.empty()) {
-        Fn.Flows.push_back({"<return>", Info.Vars, Info.Calls, Info.HasSource,
-                            T[B].Line});
-        Fn.HasSource |= Info.HasSource;
-      }
-    } else {
-      // First top-level assignment operator.
-      static const std::array<const char *, 11> Assign = {
-          "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
-      int Depth = 0;
-      size_t OpPos = E;
-      for (size_t I = B; I < E; ++I) {
-        if (T[I].K != Token::Punct)
-          continue;
-        const std::string &P = T[I].Text;
-        if (P == "(" || P == "[" || P == "{")
-          ++Depth;
-        else if (P == ")" || P == "]" || P == "}")
-          --Depth;
-        else if (Depth == 0 && oneOf(P, Assign)) {
-          OpPos = I;
-          break;
-        }
-      }
-      if (OpPos != E && OpPos > B) {
-        // Chain base of the lhs: A.B[i] = ... taints A... no: taints the
-        // written object; use the identifier nearest the operator, walked
-        // back over subscripts and member accesses to the chain base.
-        size_t K = OpPos;
-        std::string Lhs;
-        while (K > B) {
-          const Token &P = T[K - 1];
-          if (P.K == Token::Punct && P.Text == "]") {
-            // skip backward over the subscript
-            int D = 0;
-            --K;
-            while (K > B) {
-              if (punctIs(T, K - 1, "]"))
-                ++D;
-              else if (punctIs(T, K - 1, "[")) {
-                if (D == 0) {
-                  --K;
-                  break;
-                }
-                --D;
-              }
-              --K;
-            }
-            continue;
-          }
-          if (P.K == Token::Ident) {
-            Lhs = P.Text;
-            --K;
-            if (K > B && T[K - 1].K == Token::Punct &&
-                (T[K - 1].Text == "." || T[K - 1].Text == "->")) {
-              --K;
-              continue; // keep walking to the chain base
-            }
-            break;
-          }
-          break;
-        }
-        if (!Lhs.empty()) {
-          RhsInfo Info = scanRhs(OpPos + 1, E);
-          if (Info.HasSource || !Info.Vars.empty() || !Info.Calls.empty()) {
-            Fn.Flows.push_back(
-                {Lhs, Info.Vars, Info.Calls, Info.HasSource, T[OpPos].Line});
-            Fn.HasSource |= Info.HasSource;
-          }
-        }
-      }
-    }
-
-    // Seed-style sinks anywhere in the statement.
-    for (size_t I = B; I < E; ++I) {
-      size_t SkipEnd = 0;
-      if (skipAt(I, SkipEnd)) {
-        I = SkipEnd - 1;
-        continue;
-      }
-      if (T[I].K != Token::Ident || !isSeedSink(T[I].Text))
-        continue;
-      size_t ArgsOpen = 0;
-      if (punctIs(T, I + 1, "("))
-        ArgsOpen = I + 1; // seed(x) / srand(x) / Rng(x) temporary
-      else if (I + 2 < E && T[I + 1].K == Token::Ident &&
-               punctIs(T, I + 2, "("))
-        ArgsOpen = I + 2; // Rng R(x); — constructor with declarator
-      if (!ArgsOpen)
-        continue;
-      size_t ArgsEnd = skipBalanced(T, ArgsOpen, "(", ")");
-      if (ArgsEnd <= ArgsOpen + 2)
-        continue; // no arguments — nothing can flow in
-      RhsInfo Info = scanRhs(ArgsOpen + 1, ArgsEnd - 1);
-      Fn.Sinks.push_back({T[I].Text, Info.Vars, Info.Calls, Info.HasSource,
-                          T[I].Line, T[I].Col, lineText(T[I].Line)});
-    }
-
-    // Stream/trace output: `Stream << expr << ...` at statement level.
-    if (T[B].K == Token::Ident && !isControlKw(T[B].Text)) {
-      int Depth = 0;
-      for (size_t I = B; I < E; ++I) {
-        size_t SkipEnd = 0;
-        if (skipAt(I, SkipEnd)) {
-          I = SkipEnd - 1;
-          continue;
-        }
-        if (T[I].K != Token::Punct)
-          continue;
-        const std::string &P = T[I].Text;
-        if (P == "(" || P == "[" || P == "{")
-          ++Depth;
-        else if (P == ")" || P == "]" || P == "}")
-          --Depth;
-        else if (P == "<<" && Depth == 0) {
-          RhsInfo Info = scanRhs(I + 1, E);
-          Fn.Sinks.push_back({"stream output", Info.Vars, Info.Calls,
-                              Info.HasSource, T[I].Line, T[I].Col,
-                              lineText(T[I].Line)});
-          break; // one sink per statement is enough
-        }
-      }
-    }
-  }
-
-  void parseFlows(size_t B, size_t E, FunctionInfo &Fn) {
-    int PDepth = 0;
-    size_t S = B;
-    for (size_t I = B; I < E; ++I) {
-      size_t SkipEnd = 0;
-      if (skipAt(I, SkipEnd)) {
-        I = SkipEnd - 1; // balanced range: paren depth is unaffected
-        continue;
-      }
-      if (T[I].K != Token::Punct)
-        continue;
-      const std::string &P = T[I].Text;
-      if (P == "(" || P == "[")
-        ++PDepth;
-      else if (P == ")" || P == "]")
-        --PDepth;
-      else if (PDepth == 0 && (P == ";" || P == "{" || P == "}")) {
-        processStatement(S, I, Fn);
-        S = I + 1;
-      }
-    }
-    processStatement(S, E, Fn);
-  }
 };
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-std::string escField(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      Out += C;
-    }
-  }
-  return Out;
-}
-
-std::string unescField(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (size_t I = 0; I < S.size(); ++I) {
-    if (S[I] != '\\' || I + 1 >= S.size()) {
-      Out += S[I];
-      continue;
-    }
-    ++I;
-    switch (S[I]) {
-    case 't':
-      Out += '\t';
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    default:
-      Out += S[I];
-    }
-  }
-  return Out;
-}
-
-std::string joinList(const std::vector<std::string> &L) {
-  std::string Out;
-  for (size_t I = 0; I < L.size(); ++I)
-    Out += (I ? "," : "") + L[I];
-  return Out;
-}
-
-std::vector<std::string> splitList(const std::string &S) {
-  std::vector<std::string> Out;
-  std::string Cur;
-  for (char C : S) {
-    if (C == ',') {
-      if (!Cur.empty())
-        Out.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur += C;
-    }
-  }
-  if (!Cur.empty())
-    Out.push_back(Cur);
-  return Out;
-}
-
-void emitLine(std::ostringstream &OS, const std::vector<std::string> &Fields) {
-  for (size_t I = 0; I < Fields.size(); ++I)
-    OS << (I ? "\t" : "") << escField(Fields[I]);
-  OS << "\n";
-}
-
-/// Reads one line from \p Data at \p Pos into tab-separated fields.
-bool readLine(const std::string &Data, size_t &Pos,
-              std::vector<std::string> &Fields) {
-  if (Pos >= Data.size())
-    return false;
-  size_t End = Data.find('\n', Pos);
-  if (End == std::string::npos)
-    End = Data.size();
-  Fields.clear();
-  std::string Field;
-  for (size_t I = Pos; I < End; ++I) {
-    if (Data[I] == '\t') {
-      Fields.push_back(unescField(Field));
-      Field.clear();
-    } else {
-      Field += Data[I];
-    }
-  }
-  Fields.push_back(unescField(Field));
-  Pos = End + 1;
-  return true;
-}
-
-bool toUnsigned(const std::string &S, unsigned &Out) {
-  if (S.empty())
-    return false;
-  unsigned long V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(C - '0');
-    if (V > 0xffffffffUL)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
 
 } // namespace
 
-std::string medley::lint::escapeTsvField(const std::string &S) {
-  return escField(S);
-}
-
-void medley::lint::appendTsvLine(std::string &Out,
-                                 const std::vector<std::string> &Fields) {
-  std::ostringstream OS;
-  emitLine(OS, Fields);
-  Out += OS.str();
-}
-
-bool medley::lint::readTsvLine(const std::string &Data, size_t &Pos,
-                               std::vector<std::string> &Fields) {
-  return readLine(Data, Pos, Fields);
-}
-
-bool medley::lint::parseUnsignedField(const std::string &S, unsigned &Out) {
-  return toUnsigned(S, Out);
-}
-
-FileIndex medley::lint::buildFileIndex(const std::string &Path,
-                                       const std::string &Source,
-                                       FileKind Kind) {
-  FileIndex Out;
-  Out.Path = Path;
-  Out.Kind = Kind;
-  LexedFile Lexed = lex(Source);
-  Out.AllowLines = expandAllowCoverage(Lexed);
-
-  std::vector<std::string> Lines;
-  {
-    std::string Line;
-    for (char C : Source) {
-      if (C == '\n') {
-        Lines.push_back(Line);
-        Line.clear();
-      } else {
-        Line += C;
-      }
-    }
-    Lines.push_back(Line);
-  }
-
-  Indexer Ix(Lexed.Tokens, Lines, Out);
-  Ix.run();
-  return Out;
-}
-
 FileIndex medley::lint::buildFileIndex(const std::string &Path,
                                        const std::string &Source) {
-  return buildFileIndex(Path, Source, classifyPath(Path));
-}
-
-std::string medley::lint::serializeFileIndex(const FileIndex &Index) {
-  std::ostringstream OS;
-  emitLine(OS, {"I", Index.Path, std::to_string(static_cast<int>(Index.Kind)),
-                std::to_string(Index.Functions.size()),
-                std::to_string(Index.AllowLines.size()),
-                std::to_string(Index.Fields.size())});
-  for (const auto &[Line, Rules] : Index.AllowLines)
-    emitLine(OS, {"w", std::to_string(Line),
-                  joinList({Rules.begin(), Rules.end()})});
-  for (const FieldDecl &FD : Index.Fields)
-    emitLine(OS, {"D", FD.Class, FD.Name, FD.Atomic ? "1" : "0",
-                  FD.Mutex ? "1" : "0"});
-  for (const FunctionInfo &Fn : Index.Functions) {
-    emitLine(OS, {"N", Fn.Qual, Fn.Name, Fn.Class, std::to_string(Fn.Line),
-                  std::to_string(Fn.Col), Fn.HasSource ? "1" : "0",
-                  Fn.LineText, std::to_string(Fn.Calls.size()),
-                  std::to_string(Fn.Allocs.size()),
-                  std::to_string(Fn.Acquires.size()),
-                  std::to_string(Fn.LockEdges.size()),
-                  std::to_string(Fn.Flows.size()),
-                  std::to_string(Fn.Sinks.size()),
-                  Fn.IsThreadBody ? "1" : "0",
-                  std::to_string(Fn.SpawnedBodies.size()),
-                  std::to_string(Fn.Writes.size()),
-                  std::to_string(Fn.Retentions.size()),
-                  std::to_string(Fn.FlowCalls.size()),
-                  std::to_string(Fn.ResetArenas.size())});
-    for (const CallSite &C : Fn.Calls)
-      emitLine(OS, {"c", C.Name, C.Qualifier, C.IsMember ? "1" : "0",
-                    std::to_string(C.Line), std::to_string(C.Col),
-                    joinList(C.HeldLocks), C.LineText});
-    for (const AllocSite &A : Fn.Allocs)
-      emitLine(OS, {"a", A.What, std::to_string(A.Line),
-                    std::to_string(A.Col), A.LineText});
-    for (const LockAcq &Q : Fn.Acquires)
-      emitLine(OS, {"q", Q.Name, std::to_string(Q.Line)});
-    for (const LockEdge &LE : Fn.LockEdges)
-      emitLine(OS, {"e", LE.First, LE.Second, std::to_string(LE.Line),
-                    LE.LineText});
-    for (const TaintFlow &F : Fn.Flows)
-      emitLine(OS, {"f", F.Lhs, joinList(F.RhsVars), joinList(F.RhsCalls),
-                    F.HasSource ? "1" : "0", std::to_string(F.Line)});
-    for (const SinkUse &S : Fn.Sinks)
-      emitLine(OS, {"s", S.Sink, joinList(S.ArgVars), joinList(S.ArgCalls),
-                    S.HasSource ? "1" : "0", std::to_string(S.Line),
-                    std::to_string(S.Col), S.LineText});
-    for (const std::string &SB : Fn.SpawnedBodies)
-      emitLine(OS, {"b", SB});
-    for (const UnguardedWrite &W : Fn.Writes)
-      emitLine(OS, {"W", W.Lhs, W.Base, W.Last, std::to_string(W.Line),
-                    std::to_string(W.Col), W.LineText});
-    for (const RetentionSite &R : Fn.Retentions)
-      emitLine(OS, {"R", std::to_string(R.K), R.Var, R.Origin, R.Base,
-                    R.Last, R.Callee, R.CalleeQual,
-                    R.CalleeMember ? "1" : "0", std::to_string(R.Line),
-                    std::to_string(R.Col), R.LineText});
-    for (const FlowCall &FC : Fn.FlowCalls)
-      emitLine(OS, {"o", FC.Name, FC.Qualifier, FC.IsMember ? "1" : "0",
-                    FC.LocalRecv ? "1" : "0", FC.LockFree ? "1" : "0",
-                    std::to_string(FC.Line), std::to_string(FC.Col)});
-    for (const std::string &Z : Fn.ResetArenas)
-      emitLine(OS, {"Z", Z});
-  }
-  return OS.str();
-}
-
-bool medley::lint::deserializeFileIndex(const std::string &Data, size_t &Pos,
-                                        FileIndex &Out) {
-  std::vector<std::string> F;
-  if (!readLine(Data, Pos, F) || F.size() != 6 || F[0] != "I")
-    return false;
-  Out = FileIndex();
-  Out.Path = F[1];
-  unsigned Kind = 0, NumFns = 0, NumAllow = 0, NumFields = 0;
-  if (!toUnsigned(F[2], Kind) || Kind > static_cast<unsigned>(FileKind::Other))
-    return false;
-  Out.Kind = static_cast<FileKind>(Kind);
-  if (!toUnsigned(F[3], NumFns) || !toUnsigned(F[4], NumAllow) ||
-      !toUnsigned(F[5], NumFields))
-    return false;
-  for (unsigned I = 0; I < NumAllow; ++I) {
-    unsigned Line = 0;
-    if (!readLine(Data, Pos, F) || F.size() != 3 || F[0] != "w" ||
-        !toUnsigned(F[1], Line))
-      return false;
-    std::vector<std::string> Rules = splitList(F[2]);
-    Out.AllowLines[Line] = {Rules.begin(), Rules.end()};
-  }
-  for (unsigned I = 0; I < NumFields; ++I) {
-    if (!readLine(Data, Pos, F) || F.size() != 5 || F[0] != "D")
-      return false;
-    FieldDecl FD;
-    FD.Class = F[1];
-    FD.Name = F[2];
-    FD.Atomic = F[3] == "1";
-    FD.Mutex = F[4] == "1";
-    Out.Fields.push_back(std::move(FD));
-  }
-  for (unsigned I = 0; I < NumFns; ++I) {
-    if (!readLine(Data, Pos, F) || F.size() != 20 || F[0] != "N")
-      return false;
-    FunctionInfo Fn;
-    Fn.Qual = F[1];
-    Fn.Name = F[2];
-    Fn.Class = F[3];
-    unsigned NC = 0, NA = 0, NQ = 0, NE = 0, NF = 0, NS = 0;
-    unsigned NB = 0, NW = 0, NR = 0, NO = 0, NZ = 0;
-    if (!toUnsigned(F[4], Fn.Line) || !toUnsigned(F[5], Fn.Col) ||
-        !toUnsigned(F[8], NC) || !toUnsigned(F[9], NA) ||
-        !toUnsigned(F[10], NQ) || !toUnsigned(F[11], NE) ||
-        !toUnsigned(F[12], NF) || !toUnsigned(F[13], NS) ||
-        !toUnsigned(F[15], NB) || !toUnsigned(F[16], NW) ||
-        !toUnsigned(F[17], NR) || !toUnsigned(F[18], NO) ||
-        !toUnsigned(F[19], NZ))
-      return false;
-    Fn.HasSource = F[6] == "1";
-    Fn.LineText = F[7];
-    Fn.IsThreadBody = F[14] == "1";
-    for (unsigned J = 0; J < NC; ++J) {
-      CallSite C;
-      if (!readLine(Data, Pos, F) || F.size() != 8 || F[0] != "c" ||
-          !toUnsigned(F[4], C.Line) || !toUnsigned(F[5], C.Col))
-        return false;
-      C.Name = F[1];
-      C.Qualifier = F[2];
-      C.IsMember = F[3] == "1";
-      C.HeldLocks = splitList(F[6]);
-      C.LineText = F[7];
-      Fn.Calls.push_back(std::move(C));
-    }
-    for (unsigned J = 0; J < NA; ++J) {
-      AllocSite A;
-      if (!readLine(Data, Pos, F) || F.size() != 5 || F[0] != "a" ||
-          !toUnsigned(F[2], A.Line) || !toUnsigned(F[3], A.Col))
-        return false;
-      A.What = F[1];
-      A.LineText = F[4];
-      Fn.Allocs.push_back(std::move(A));
-    }
-    for (unsigned J = 0; J < NQ; ++J) {
-      LockAcq Q;
-      if (!readLine(Data, Pos, F) || F.size() != 3 || F[0] != "q" ||
-          !toUnsigned(F[2], Q.Line))
-        return false;
-      Q.Name = F[1];
-      Fn.Acquires.push_back(std::move(Q));
-    }
-    for (unsigned J = 0; J < NE; ++J) {
-      LockEdge LE;
-      if (!readLine(Data, Pos, F) || F.size() != 5 || F[0] != "e" ||
-          !toUnsigned(F[3], LE.Line))
-        return false;
-      LE.First = F[1];
-      LE.Second = F[2];
-      LE.LineText = F[4];
-      Fn.LockEdges.push_back(std::move(LE));
-    }
-    for (unsigned J = 0; J < NF; ++J) {
-      TaintFlow TF;
-      if (!readLine(Data, Pos, F) || F.size() != 6 || F[0] != "f" ||
-          !toUnsigned(F[5], TF.Line))
-        return false;
-      TF.Lhs = F[1];
-      TF.RhsVars = splitList(F[2]);
-      TF.RhsCalls = splitList(F[3]);
-      TF.HasSource = F[4] == "1";
-      Fn.Flows.push_back(std::move(TF));
-    }
-    for (unsigned J = 0; J < NS; ++J) {
-      SinkUse S;
-      if (!readLine(Data, Pos, F) || F.size() != 8 || F[0] != "s" ||
-          !toUnsigned(F[5], S.Line) || !toUnsigned(F[6], S.Col))
-        return false;
-      S.Sink = F[1];
-      S.ArgVars = splitList(F[2]);
-      S.ArgCalls = splitList(F[3]);
-      S.HasSource = F[4] == "1";
-      S.LineText = F[7];
-      Fn.Sinks.push_back(std::move(S));
-    }
-    for (unsigned J = 0; J < NB; ++J) {
-      if (!readLine(Data, Pos, F) || F.size() != 2 || F[0] != "b")
-        return false;
-      Fn.SpawnedBodies.push_back(F[1]);
-    }
-    for (unsigned J = 0; J < NW; ++J) {
-      UnguardedWrite W;
-      if (!readLine(Data, Pos, F) || F.size() != 7 || F[0] != "W" ||
-          !toUnsigned(F[4], W.Line) || !toUnsigned(F[5], W.Col))
-        return false;
-      W.Lhs = F[1];
-      W.Base = F[2];
-      W.Last = F[3];
-      W.LineText = F[6];
-      Fn.Writes.push_back(std::move(W));
-    }
-    for (unsigned J = 0; J < NR; ++J) {
-      RetentionSite R;
-      unsigned K = 0;
-      if (!readLine(Data, Pos, F) || F.size() != 12 || F[0] != "R" ||
-          !toUnsigned(F[1], K) || K > RetentionSite::AcrossCall ||
-          !toUnsigned(F[9], R.Line) || !toUnsigned(F[10], R.Col))
-        return false;
-      R.K = static_cast<int>(K);
-      R.Var = F[2];
-      R.Origin = F[3];
-      R.Base = F[4];
-      R.Last = F[5];
-      R.Callee = F[6];
-      R.CalleeQual = F[7];
-      R.CalleeMember = F[8] == "1";
-      R.LineText = F[11];
-      Fn.Retentions.push_back(std::move(R));
-    }
-    for (unsigned J = 0; J < NO; ++J) {
-      FlowCall FC;
-      if (!readLine(Data, Pos, F) || F.size() != 8 || F[0] != "o" ||
-          !toUnsigned(F[6], FC.Line) || !toUnsigned(F[7], FC.Col))
-        return false;
-      FC.Name = F[1];
-      FC.Qualifier = F[2];
-      FC.IsMember = F[3] == "1";
-      FC.LocalRecv = F[4] == "1";
-      FC.LockFree = F[5] == "1";
-      Fn.FlowCalls.push_back(std::move(FC));
-    }
-    for (unsigned J = 0; J < NZ; ++J) {
-      if (!readLine(Data, Pos, F) || F.size() != 2 || F[0] != "Z")
-        return false;
-      Fn.ResetArenas.push_back(F[1]);
-    }
-    Out.Functions.push_back(std::move(Fn));
-  }
-  return true;
+  FileIndex Out;
+  Out.Path = Path;
+  LexedFile Lexed = lex(Source);
+  Out.AllowLines = expandAllowCoverage(Lexed);
+  Indexer Ix(Lexed.Tokens, Out);
+  Ix.run();
+  return Out;
 }

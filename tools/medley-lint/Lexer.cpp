@@ -97,9 +97,8 @@ LexedFile medley::lint::lex(const std::string &Source) {
 
     // Preprocessor directive: consume to end of line (honouring
     // backslash continuations). '#' has no token-level meaning outside
-    // directives, and leaking `include < vector >` into the stream makes
-    // the scope scanner misread the next `Name {...}` as a brace
-    // initializer, swallowing whole class bodies.
+    // directives, and a directive's words (`include < vector >`) are not
+    // code the rules should read.
     if (Ch == '#') {
       while (!C.done() && C.peek() != '\n') {
         char D = C.advance();

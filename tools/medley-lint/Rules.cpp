@@ -28,7 +28,6 @@ struct RuleCtx {
   const std::string &Path;
   FileKind Kind;
   const Tokens &Toks;
-  const std::vector<std::string> &SourceLines;
   std::vector<Finding> &Out;
 
   const Token *at(size_t I) const { return I < Toks.size() ? &Toks[I] : nullptr; }
@@ -50,8 +49,6 @@ struct RuleCtx {
     F.Col = At.Col;
     F.Rule = Rule;
     F.Message = Message;
-    if (At.Line >= 1 && At.Line <= SourceLines.size())
-      F.SourceLine = trim(SourceLines[At.Line - 1]);
     Out.push_back(std::move(F));
   }
 };
@@ -388,73 +385,15 @@ void ruleErrorCheck(const RuleCtx &C) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// L6: hotpath-alloc — value-returning linalg helpers on the decision hot
-// path. add/sub/scale/hadamard return a fresh Vec per call; the files on
-// the steady-state decision path must use the *Into/span kernels instead
-// so a decision performs zero heap allocations (DESIGN.md §11).
-//===----------------------------------------------------------------------===//
-
-/// The hot-path file set, matched on the reported (root-relative or
-/// absolute) path: everything under src/core/, the feature builders
-/// src/policy/Features*, and the simulation tick loop.
-bool isHotPathFile(const std::string &Path) {
-  auto Contains = [&](const char *Needle) {
-    return Path.find(Needle) != std::string::npos;
-  };
-  return Contains("src/core/") || Contains("src/policy/Features") ||
-         Contains("src/sim/Simulation.cpp");
-}
-
-bool isAllocatingLinalgName(const std::string &S) {
-  return S == "add" || S == "sub" || S == "scale" || S == "hadamard";
-}
-
-void ruleHotpathAlloc(const RuleCtx &C) {
-  if (C.Kind != FileKind::Src || !isHotPathFile(C.Path))
-    return;
-  const Tokens &T = C.Toks;
-  for (size_t I = 0; I < T.size(); ++I) {
-    if (T[I].K != Token::Ident || !isAllocatingLinalgName(T[I].Text) ||
-        !C.punctAt(I + 1, "("))
-      continue;
-
-    // Only call positions: member calls (x.add(...)) target some other
-    // add, a preceding type name / declarator token means this is a
-    // declaration, and qualified names must come from medley::.
-    if (I == 0)
-      continue;
-    const Token &Prev = T[I - 1];
-    if (Prev.K == Token::Punct) {
-      if (Prev.Text == "." || Prev.Text == "->" || Prev.Text == "&" ||
-          Prev.Text == "*" || Prev.Text == ">")
-        continue; // Member call or declarator.
-      if (Prev.Text == "::" && !(I >= 2 && C.identAt(I - 2, "medley")))
-        continue; // Qualified by a foreign namespace.
-    } else if (Prev.K == Token::Ident && Prev.Text != "return") {
-      continue; // `Vec add(` — a declaration, not a call.
-    } else if (Prev.K != Token::Ident) {
-      continue; // Number/string before '(' cannot precede a call.
-    }
-
-    C.report(T[I], RuleHotpathAlloc,
-             "value-returning linalg call '" + T[I].Text +
-                 "(' on the decision hot path allocates a fresh Vec — use "
-                 "the allocation-free *Into/span kernel instead");
-  }
-}
-
 } // namespace
 
 void medley::lint::runRules(const std::string &Path, FileKind Kind,
                             const LexedFile &Lexed,
-                            const std::vector<std::string> &SourceLines,
                             std::vector<Finding> &Out) {
-  RuleCtx C{Path, Kind, Lexed.Tokens, SourceLines, Out};
+  RuleCtx C{Path, Kind, Lexed.Tokens, Out};
   ruleNondeterminism(C);
   ruleUnorderedReduction(C);
   ruleRawConcurrency(C);
   ruleFloatEquality(C);
   ruleErrorCheck(C);
-  ruleHotpathAlloc(C);
 }
