@@ -11,9 +11,9 @@
 //   medley speedup --target cg --policy mixture --scenario large/low
 //       Speedup of a policy over the OpenMP default in a paper scenario.
 //   medley coexec --target cg --policy mixture --workload bt,is,art
-//                 [--cores 32] [--period 20] [--timeline]
+//                 [--cores 32] [--period 20] [--timeline] [--trace-out FILE]
 //       One co-execution run with an explicit workload; optionally prints
-//       the decision timeline.
+//       the decision timeline and writes the per-tick trace as CSV.
 //   medley experts [--num 4]
 //       The trained experts: split, sample counts, weights.
 //
@@ -29,7 +29,6 @@
 #include "runtime/CoExecution.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
-#include "trace/Columnar.h"
 #include "workload/Catalog.h"
 
 #include <algorithm>
@@ -193,31 +192,20 @@ int cmdSpeedup(const Args &A) {
   return 0;
 }
 
-/// Writes \p Trace to \p Path in \p Format, one of the two cmdCoexec
-/// accepts: "columnar" is the binary format recorded at run time; "csv"
-/// runs the export post-pass immediately instead of leaving it for
-/// `medley trace-export`.
-int writeTrace(const trace::TickTrace &Trace, const std::string &Path,
-               const std::string &Format) {
-  if (Format == "columnar") {
-    if (support::Error E = trace::ColumnarWriter::writeFile(Trace, Path)) {
-      std::cerr << E.str() << '\n';
-      return 1;
-    }
-  } else {
-    std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
-    if (!OS) {
-      std::cerr << "cannot open trace file for writing: " << Path << '\n';
-      return 1;
-    }
-    trace::exportCsv(Trace, OS);
-    if (!OS) {
-      std::cerr << "trace CSV write failed: " << Path << '\n';
-      return 1;
-    }
+/// Writes \p Trace to \p Path as CSV.
+int writeTrace(const std::vector<runtime::TracePoint> &Trace,
+               const std::string &Path) {
+  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
+  if (!OS) {
+    std::cerr << "cannot open trace file for writing: " << Path << '\n';
+    return 1;
   }
-  std::cout << "  trace: " << Trace.size() << " ticks -> " << Path << " ("
-            << Format << ")\n";
+  runtime::exportCsv(Trace, OS);
+  if (!OS) {
+    std::cerr << "trace CSV write failed: " << Path << '\n';
+    return 1;
+  }
+  std::cout << "  trace: " << Trace.size() << " ticks -> " << Path << '\n';
   return 0;
 }
 
@@ -235,12 +223,6 @@ int cmdCoexec(const Args &A) {
       std::cerr << "unknown workload program '" << Name << "'\n";
       return 1;
     }
-  const std::string TraceFormat = A.get("trace-format", "columnar");
-  if (TraceFormat != "columnar" && TraceFormat != "csv") {
-    std::cerr << "unknown trace format '" << TraceFormat
-              << "' (try: columnar, csv)\n";
-    return 1;
-  }
 
   runtime::CoExecutionConfig Config;
   // The availability ladder needs four cores, and walks its pattern once
@@ -272,7 +254,7 @@ int cmdCoexec(const Args &A) {
             << formatDouble(R.WorkloadThroughput, 2) << " work units/s\n";
 
   if (A.has("trace-out"))
-    if (int Rc = writeTrace(R.Trace, A.get("trace-out"), TraceFormat))
+    if (int Rc = writeTrace(R.Trace, A.get("trace-out")))
       return Rc;
 
   if (A.has("timeline")) {
@@ -286,36 +268,6 @@ int cmdCoexec(const Args &A) {
                 << padLeft(std::to_string(D.Threads), 7) << "  "
                 << asciiBar(D.Threads, 1.5) << '\n';
     }
-  }
-  return 0;
-}
-
-int cmdTraceExport(const Args &A) {
-  if (!A.has("in")) {
-    std::cerr << "trace-export needs --in FILE (a columnar trace)\n";
-    return 1;
-  }
-  trace::TickTrace Trace;
-  support::Error Err;
-  if (!trace::ColumnarReader::readFile(A.get("in"), Trace, &Err)) {
-    std::cerr << Err.str() << '\n';
-    return 1;
-  }
-  if (A.has("out")) {
-    std::ofstream OS(A.get("out"), std::ios::binary | std::ios::trunc);
-    if (!OS) {
-      std::cerr << "cannot open '" << A.get("out") << "' for writing\n";
-      return 1;
-    }
-    trace::exportCsv(Trace, OS);
-    if (!OS) {
-      std::cerr << "trace CSV write failed: " << A.get("out") << '\n';
-      return 1;
-    }
-    std::cerr << "exported " << Trace.size() << " ticks to " << A.get("out")
-              << '\n';
-  } else {
-    trace::exportCsv(Trace, std::cout);
   }
   return 0;
 }
@@ -455,10 +407,7 @@ void usage() {
          "--workload bt,is,art\n"
          "                 [--cores 32] [--period 20] [--seed 42] "
          "[--timeline]\n"
-         "                 [--trace-out FILE [--trace-format columnar|csv]]\n"
-         "  medley trace-export --in FILE [--out FILE]\n"
-         "                 (columnar binary trace -> CSV; stdout when "
-         "--out is omitted)\n"
+         "                 [--trace-out FILE]  (per-tick trace as CSV)\n"
          "  medley experts [--num 4] [--save FILE | --load FILE]\n"
          "  medley fleet   [--shards 16] [--tenants 10000] [--rounds 8]\n"
          "                 [--ticks 25] [--churn 0.01] [--storm-shards 0]\n"
@@ -488,8 +437,6 @@ int main(int Argc, char **Argv) {
     return cmdSpeedup(A);
   if (Command == "coexec")
     return cmdCoexec(A);
-  if (Command == "trace-export")
-    return cmdTraceExport(A);
   if (Command == "experts")
     return cmdExperts(A);
   if (Command == "fleet")

@@ -47,7 +47,7 @@ runtime::CoExecutionConfig figure2Config() {
 /// \p Step seconds.
 std::vector<unsigned> timeline(const policy::PolicyFactory &Factory,
                                double Horizon, double Step,
-                               trace::TickTrace *Trace) {
+                               std::vector<runtime::TracePoint> *Trace) {
   runtime::CoExecutionConfig Config = figure2Config();
   auto Policy = Factory();
   runtime::CoExecutionResult Result = runCoExecution(
@@ -81,7 +81,7 @@ int main() {
   const double Horizon = 70.0, Step = 2.5;
 
   std::map<std::string, std::vector<unsigned>> Rows;
-  trace::TickTrace Trace;
+  std::vector<runtime::TracePoint> Trace;
   Rows["analytic"] = timeline(Policies.factory("analytic"), Horizon, Step,
                               &Trace);
   // Section 3 uses the two-expert mixture: E1 and E2 individually, then

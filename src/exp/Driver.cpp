@@ -35,7 +35,7 @@ std::string fingerprintOptions(const DriverOptions &Options) {
   const sim::MachineConfig &M = Options.Machine;
   std::ostringstream OS;
   OS << "n" << Options.Repeats << "|t" << Options.Tick << "|m"
-     << Options.MaxTime << "|tr" << Options.RecordTraces << "|mc"
+     << Options.MaxTime << "|mc"
      << M.TotalCores << ";" << M.MemoryBandwidth << ";" << M.TotalMemoryMb
      << ";" << M.AffinityBenefit << ";" << M.ContextSwitchOverhead << ";"
      << M.BarrierConvoy << ";" << M.MemContentionExponent << ";"
@@ -100,7 +100,6 @@ runtime::CoExecutionConfig Driver::makeConfig(const Scenario &Scen,
                                  : Options.Machine;
   Config.Tick = Options.Tick;
   Config.MaxTime = Options.MaxTime;
-  Config.RecordTraces = Options.RecordTraces;
 
   std::string CellKey = Scen.Name + "|" + SetName + "|" + Target + "|r" +
                         std::to_string(Repeat);

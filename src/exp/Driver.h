@@ -45,7 +45,6 @@ struct DriverOptions {
   uint64_t Seed = 0xD01;
   double Tick = 0.1;
   double MaxTime = 900.0;
-  bool RecordTraces = false;
   /// Worker threads for cell execution. 0 = auto (the MEDLEY_JOBS
   /// environment variable, else the hardware concurrency); 1 = inline
   /// sequential execution. Results are identical at every value.

@@ -6,14 +6,33 @@
 
 #include "runtime/CoExecution.h"
 
+#include "support/Csv.h"
 #include "support/Error.h"
+#include "support/StringUtils.h"
 #include "workload/Catalog.h"
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 using namespace medley;
 using namespace medley::runtime;
+
+void medley::runtime::exportCsv(const std::vector<TracePoint> &Trace,
+                                std::ostream &OS) {
+  CsvWriter W(OS, /*BufferBytes=*/1 << 16);
+  W.writeRow({"time", "available_cores", "workload_threads", "target_threads",
+              "env_norm"});
+  std::vector<std::string> Cells(5);
+  for (const TracePoint &P : Trace) {
+    Cells[0] = formatDouble(P.Time, 6);
+    Cells[1] = std::to_string(P.AvailableCores);
+    Cells[2] = std::to_string(P.WorkloadThreads);
+    Cells[3] = std::to_string(P.TargetThreads);
+    Cells[4] = formatDouble(P.EnvNorm, 6);
+    W.writeRow(Cells);
+  }
+}
 
 std::vector<WorkloadProgramSetup>
 medley::runtime::patternWorkload(const std::vector<std::string> &Names) {
@@ -137,7 +156,7 @@ medley::runtime::runCoExecution(const CoExecutionConfig &Config,
       Point.WorkloadThreads = External;
       Point.TargetThreads = Target->activeThreads();
       Point.EnvNorm = Sim.monitor().envNorm(Target->activeThreads());
-      Result.Trace.append(Point);
+      Result.Trace.push_back(Point);
     };
     Simulation.addTickHook(Capture);
   }

@@ -10,7 +10,8 @@
 /// other finishes." The target runs to completion under its policy; every
 /// workload program loops (restarting when done) until the target finishes.
 /// The run reports the target's completion time, the workload's aggregate
-/// throughput, and optional traces for the timeline figures.
+/// throughput, and an optional per-tick trace for the timeline figures,
+/// kept as rows in memory and written to disk as CSV (exportCsv).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +20,9 @@
 
 #include "runtime/PolicyBinding.h"
 #include "sim/Simulation.h"
-#include "trace/TickTrace.h"
 #include "workload/ThreadPattern.h"
 
+#include <iosfwd>
 #include <memory>
 
 namespace medley::runtime {
@@ -66,9 +67,14 @@ struct WorkloadProgramSetup {
   std::shared_ptr<policy::ThreadPolicy> Policy;  ///< Optional adaptive policy.
 };
 
-/// Per-tick system trace point (one materialised row of the columnar
-/// trace::TickTrace).
-using TracePoint = trace::TracePoint;
+/// One row of the per-tick system trace.
+struct TracePoint {
+  double Time = 0.0;
+  unsigned AvailableCores = 0;
+  unsigned WorkloadThreads = 0;
+  unsigned TargetThreads = 0;
+  double EnvNorm = 0.0;
+};
 
 /// Outcome of one co-execution run.
 struct CoExecutionResult {
@@ -83,10 +89,10 @@ struct CoExecutionResult {
   /// Thread-selection decisions of the target's policy.
   std::vector<Decision> TargetDecisions;
 
-  /// Per-tick traces, stored column-wise (only populated when
-  /// RecordTraces is set). Persist with trace::ColumnarWriter; export to
-  /// CSV offline with trace::exportCsv.
-  trace::TickTrace Trace;
+  /// One row per tick, in time order (only populated when RecordTraces
+  /// is set). Reserved to MaxTime / Tick + 1 rows before the first tick,
+  /// so recording never allocates mid-run. exportCsv writes it out.
+  std::vector<TracePoint> Trace;
 
   /// Counters of injected faults (zero when no injector was configured).
   support::FaultStats Faults;
@@ -97,6 +103,10 @@ CoExecutionResult runCoExecution(const CoExecutionConfig &Config,
                                  const workload::ProgramSpec &TargetSpec,
                                  policy::ThreadPolicy &TargetPolicy,
                                  std::vector<WorkloadProgramSetup> Workload);
+
+/// Writes \p Trace as CSV through support's CsvWriter: a header row, then
+/// one row per tick, times and env norms with six decimals.
+void exportCsv(const std::vector<TracePoint> &Trace, std::ostream &OS);
 
 /// Builds pattern-driven workload setups for the named catalog programs.
 std::vector<WorkloadProgramSetup>

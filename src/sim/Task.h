@@ -140,10 +140,12 @@ protected:
   friend class Simulation;
 
 private:
-  /// Index of this task's slot in the TaskTable that holds it, or NoSlot.
-  /// The table keeps it current, so removal is one lookup, not a scan.
-  static constexpr size_t NoSlot = SIZE_MAX;
-  size_t TableSlot = NoSlot;
+  /// Insertion sequence number the holding TaskTable assigned in adopt(),
+  /// or NoSeq. It never changes while the task is held, so compaction
+  /// leaves the task untouched; removal binary-searches the table's
+  /// sorted sequence column for it.
+  static constexpr uint64_t NoSeq = UINT64_MAX;
+  uint64_t TableSeq = NoSeq;
   friend class TaskTable;
 };
 

@@ -6,6 +6,7 @@
 
 #include "sim/TaskTable.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace medley;
@@ -14,30 +15,33 @@ using namespace medley::sim;
 TaskTable::~TaskTable() {
   for (Task *T : Ptrs)
     if (T)
-      T->TableSlot = Task::NoSlot;
+      T->TableSeq = Task::NoSeq;
 }
 
 void TaskTable::adopt(std::shared_ptr<Task> T) {
   assert(T && "null task");
-  assert(T->TableSlot == Task::NoSlot && "task is already in a table");
+  assert(T->TableSeq == Task::NoSeq && "task is already in a table");
   Task *Raw = T.get();
-  Raw->TableSlot = Owners.size();
+  Raw->TableSeq = NextSeq++;
   // Capacities stick at the task-set high-water mark, so add/remove churn
   // at a stable population never reallocates.
   Owners.push_back(std::move(T));
   Ptrs.push_back(Raw);
+  Seqs.push_back(Raw->TableSeq);
   ++Generation;
 }
 
 void TaskTable::remove(const Task *T) {
   // Tombstone instead of erase: nulling the slot releases the task now but
   // leaves the survivors in place, so k removals between ticks cost one
-  // compaction pass rather than k element-shifting erases. The slot check
-  // rejects a task this table does not hold (another table's, or none).
-  size_t Slot = T->TableSlot;
-  if (Slot >= Ptrs.size() || Ptrs[Slot] != T)
+  // compaction pass rather than k element-shifting erases. The pointer
+  // check rejects a task this table does not hold (another table's, or
+  // none), whose sequence number may still occur here.
+  auto It = std::lower_bound(Seqs.begin(), Seqs.end(), T->TableSeq);
+  size_t Slot = static_cast<size_t>(It - Seqs.begin());
+  if (It == Seqs.end() || *It != T->TableSeq || Ptrs[Slot] != T)
     return;
-  Ptrs[Slot]->TableSlot = Task::NoSlot;
+  Ptrs[Slot]->TableSeq = Task::NoSeq;
   Owners[Slot].reset();
   Ptrs[Slot] = nullptr;
   ++Tombstones;
@@ -47,8 +51,9 @@ void TaskTable::remove(const Task *T) {
 void TaskTable::compact() const {
   if (Tombstones < CompactionThreshold)
     return;
-  // Stable in-place erase across both columns at once; survivors keep
-  // insertion order so the step() reductions accumulate identically.
+  // Stable in-place erase across the three columns at once; survivors
+  // keep insertion order so the step() reductions accumulate identically
+  // and Seqs stays sorted. Only the table's own columns are written.
   size_t Out = 0;
   for (size_t I = 0, N = Owners.size(); I < N; ++I) {
     if (!Owners[I])
@@ -56,12 +61,13 @@ void TaskTable::compact() const {
     if (Out != I) {
       Owners[Out] = std::move(Owners[I]);
       Ptrs[Out] = Ptrs[I];
-      Ptrs[Out]->TableSlot = Out;
+      Seqs[Out] = Seqs[I];
     }
     ++Out;
   }
   Owners.resize(Out);
   Ptrs.resize(Out);
+  Seqs.resize(Out);
   Tombstones = 0;
   // Compaction only drops tombstones (which every reduction already
   // skips), so the generation is intentionally NOT bumped: cached

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The simulator's task set: owners plus a raw-pointer column the tick
-/// loop walks to read and advance each task's TaskState in place, and a
+/// loop walks to read and advance each task's TaskState in place, a
+/// sorted insertion-sequence column that removal searches, and a
 /// generation counter that tells the loop when any task's scheduling
 /// quantities or the membership changed, so it can reuse last tick's
 /// reduction results bit-for-bit (DESIGN.md §13).
@@ -46,12 +47,13 @@ public:
   TaskTable(const TaskTable &) = delete;
   TaskTable &operator=(const TaskTable &) = delete;
 
-  /// Appends \p T, which no table may hold already. Bumps the generation.
+  /// Appends \p T, which no table may hold already, under the next
+  /// sequence number. Bumps the generation.
   void adopt(std::shared_ptr<Task> T);
 
   /// Tombstones \p T's slot (releases the task now, compacts later) and
   /// bumps the generation; a no-op when this table does not hold \p T.
-  /// One lookup: every task knows its slot.
+  /// The slot is found by binary search on \p T's sequence number.
   void remove(const Task *T);
 
   /// Erases tombstoned slots, preserving insertion order, once the count
@@ -82,10 +84,14 @@ public:
 
 private:
   /// Insertion-order owners; a null entry is a tombstone left by remove().
-  /// Mutable (with Ptrs) so const accessors can compact lazily.
+  /// Mutable (with Ptrs and Seqs) so const accessors can compact lazily.
   mutable std::vector<std::shared_ptr<Task>> Owners;
   mutable std::vector<Task *> Ptrs;
+  /// Each slot's Task::TableSeq, ascending because slots stay in
+  /// insertion order.
+  mutable std::vector<uint64_t> Seqs;
   mutable size_t Tombstones = 0;
+  uint64_t NextSeq = 0;
   uint64_t Generation = 0;
 };
 

@@ -8,9 +8,9 @@
 // full fault schedule must complete deterministically with every fault
 // class firing, every decision must respect the binding clamp, a failing
 // run must be retried or recorded as a cell failure without poisoning
-// its plan, and corrupted expert files and traces must be rejected at
-// load time. Input sanitizing has its own tests in PolicyTest and
-// SimTest. Runs under the `chaos` ctest label (`make chaos`).
+// its plan, and corrupted expert files must be rejected at load time.
+// Input sanitizing has its own tests in PolicyTest and SimTest. Runs
+// under the `chaos` ctest label (`make chaos`).
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #include "sim/FaultInjector.h"
 #include "support/FaultStats.h"
 #include "support/Fnv.h"
-#include "trace/Columnar.h"
 
 #include <gtest/gtest.h>
 
@@ -351,68 +350,4 @@ TEST(ChaosGridTest, FaultFreeMixtureCellIsClean) {
   EXPECT_EQ(M.Faults.UnplugOverrides, 0u);
   EXPECT_EQ(M.Faults.StaleTicks, 0u);
   EXPECT_EQ(M.Faults.CellFailures, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Columnar trace corruption (the trace reader's degradation contract)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A small columnar trace serialised to bytes.
-std::string chaosTraceBytes() {
-  trace::TickTrace T;
-  for (unsigned I = 0; I < 8; ++I) {
-    trace::TracePoint P;
-    P.Time = 0.1 * (I + 1);
-    P.AvailableCores = 32 - I;
-    P.WorkloadThreads = I * 2;
-    P.TargetThreads = I + 1;
-    P.EnvNorm = 1.0 + 0.125 * I;
-    T.append(P);
-  }
-  std::ostringstream OS(std::ios::binary);
-  support::Error E = trace::ColumnarWriter::write(T, OS);
-  EXPECT_FALSE(E) << E.str();
-  return OS.str();
-}
-
-} // namespace
-
-TEST(ChaosTraceTest, EveryTruncationFailsWithTaxonomyError) {
-  // Cutting the file at any byte must produce a clean taxonomy error —
-  // never a crash, never a silently short trace.
-  std::string Full = chaosTraceBytes();
-  for (size_t Cut = 0; Cut < Full.size(); ++Cut) {
-    std::istringstream IS(Full.substr(0, Cut), std::ios::binary);
-    trace::TickTrace Out;
-    support::Error Err;
-    ASSERT_FALSE(trace::ColumnarReader::read(IS, Out, &Err))
-        << "read succeeded at cut " << Cut;
-    ASSERT_TRUE(Err.code() == support::ErrorCode::TruncatedInput ||
-                Err.code() == support::ErrorCode::CorruptInput)
-        << "cut " << Cut << " gave " << Err.str();
-  }
-}
-
-TEST(ChaosTraceTest, HeaderBitFlipsFailAsCorruptInput) {
-  // Every load-bearing header/descriptor byte, flipped, must be caught by
-  // a structural check. Bytes 24-31 are the reserved field, which readers
-  // ignore by design.
-  std::string Full = chaosTraceBytes();
-  constexpr size_t DescriptorEnd = 32 + 5 * 48;
-  for (size_t B = 0; B < DescriptorEnd; ++B) {
-    if (B >= 24 && B < 32)
-      continue;
-    std::string Flipped = Full;
-    Flipped[B] = static_cast<char>(Flipped[B] ^ 0x2A);
-    std::istringstream IS(Flipped, std::ios::binary);
-    trace::TickTrace Out;
-    support::Error Err;
-    ASSERT_FALSE(trace::ColumnarReader::read(IS, Out, &Err))
-        << "read succeeded with byte " << B << " flipped";
-    ASSERT_TRUE(Err.code() == support::ErrorCode::CorruptInput ||
-                Err.code() == support::ErrorCode::TruncatedInput)
-        << "byte " << B << " gave " << Err.str();
-  }
 }

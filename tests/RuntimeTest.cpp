@@ -8,9 +8,14 @@
 #include "policy/OnlinePolicy.h"
 #include "runtime/CoExecution.h"
 #include "runtime/PolicyBinding.h"
+#include "support/Csv.h"
+#include "support/StringUtils.h"
 #include "workload/Catalog.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <sstream>
 
 using namespace medley;
 using namespace medley::runtime;
@@ -194,6 +199,37 @@ TEST(CoExecutionTest, TracesRecordedOnRequest) {
   // Time advances monotonically.
   for (size_t I = 1; I < Result.Trace.size(); ++I)
     EXPECT_GT(Result.Trace[I].Time, Result.Trace[I - 1].Time);
+}
+
+TEST(ColumnarTrace, CsvExportMatchesCsvWriterByteForByte) {
+  // Rows with fractions that need all six decimals.
+  std::vector<TracePoint> Trace;
+  for (size_t I = 0; I < 41; ++I) {
+    TracePoint P;
+    P.Time = 0.1 * static_cast<double>(I + 1) + 1.0 / 3.0;
+    P.AvailableCores = static_cast<unsigned>(8 + (I * 7) % 25);
+    P.WorkloadThreads = static_cast<unsigned>((I * 3) % 17);
+    P.TargetThreads = static_cast<unsigned>(1 + (I * 5) % 31);
+    P.EnvNorm = 1.0 + std::sin(static_cast<double>(I)) * 0.75;
+    Trace.push_back(P);
+  }
+
+  std::ostringstream Exported;
+  exportCsv(Trace, Exported);
+
+  // The golden: the same rows emitted through an unbuffered CsvWriter.
+  std::ostringstream Golden;
+  {
+    CsvWriter W(Golden);
+    W.writeRow({"time", "available_cores", "workload_threads",
+                "target_threads", "env_norm"});
+    for (const TracePoint &P : Trace)
+      W.writeRow({formatDouble(P.Time, 6), std::to_string(P.AvailableCores),
+                  std::to_string(P.WorkloadThreads),
+                  std::to_string(P.TargetThreads),
+                  formatDouble(P.EnvNorm, 6)});
+  }
+  EXPECT_EQ(Exported.str(), Golden.str());
 }
 
 TEST(CoExecutionTest, PolicyDrivenWorkload) {

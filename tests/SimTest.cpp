@@ -619,6 +619,44 @@ TEST(SimulationTest, RemoveTaskBurstThenAccessorNeverSeesNull) {
   EXPECT_EQ(Sim.numTasks(), 3u);
 }
 
+TEST(SimulationTest, RemoveIgnoresTasksTheTableDoesNotHold) {
+  // Both tables hand out sequence numbers 0, 1, 2, so every task of one
+  // shares its number with a task of the other.
+  Simulation A(MachineConfig::evaluationPlatform(),
+               std::make_unique<StaticAvailability>(32));
+  Simulation B(MachineConfig::evaluationPlatform(),
+               std::make_unique<StaticAvailability>(32));
+  std::vector<std::shared_ptr<StubTask>> InA, InB;
+  for (int I = 0; I < 3; ++I) {
+    InA.push_back(std::make_shared<StubTask>("a" + std::to_string(I), 1));
+    InB.push_back(std::make_shared<StubTask>("b" + std::to_string(I), 1));
+    A.addTask(InA.back());
+    B.addTask(InB.back());
+  }
+  A.removeTask(InB[1].get());
+  EXPECT_EQ(A.numTasks(), 3u);
+  EXPECT_EQ(B.numTasks(), 3u);
+
+  // A second removal is a no-op before and after compaction.
+  A.removeTask(InA[1].get());
+  A.removeTask(InA[1].get());
+  EXPECT_EQ(A.numTasks(), 2u);
+  A.removeTask(InA[1].get());
+  EXPECT_EQ(A.numTasks(), 2u);
+
+  // The removed task may join the other table, at the end of its order.
+  B.addTask(InA[1]);
+  B.removeTask(InB[0].get());
+  const auto &Tasks = B.tasks();
+  ASSERT_EQ(Tasks.size(), 3u);
+  EXPECT_EQ(Tasks[0].get(), InB[1].get());
+  EXPECT_EQ(Tasks[1].get(), InB[2].get());
+  EXPECT_EQ(Tasks[2].get(), InA[1].get());
+  B.removeTask(InA[1].get());
+  EXPECT_EQ(B.numTasks(), 2u);
+  EXPECT_EQ(A.numTasks(), 2u);
+}
+
 TEST(SimulationTest, TickHooksFireEveryStep) {
   Simulation Sim(MachineConfig::evaluationPlatform(),
                  std::make_unique<StaticAvailability>(32));

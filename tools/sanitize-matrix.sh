@@ -42,7 +42,7 @@ for ENTRY in address:build-asan undefined:build-ubsan thread:build-tsan; do
   else
     # Default run: every suite. It includes SanitizerSmokeTest, whose
     # traced co-execution and churning storm fleet drive the trace
-    # writer/reader and the churn hook on real workloads.
+    # recording, its CSV export and the churn hook on real workloads.
     (cd "$DIR" && ctest --output-on-failure -j "$JOBS")
     # Fleet smoke leg: the sharded engine's phase barriers and mailbox
     # columns are exactly the protocol TSan exists to check. The fleet
